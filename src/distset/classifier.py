@@ -203,6 +203,12 @@ def classify_isometry(
     The witness flag records a registered injective non-surjective metric
     preserving self-map of A; facts alone cannot certify one.
     """
+    verdict, graph_iso_reduces, (equals, _) = _classify_isometry(facts, has_registered_witness)
+    return verdict, graph_iso_reduces, equals
+
+
+def _classify_isometry(facts: SetFacts, has_registered_witness: bool) -> tuple:
+    """classify_isometry's answers, with the equality verdict's tags."""
     _require_realizable(facts)
     kind = _isometry_kind(facts)
     if kind == "BorelChain":
@@ -210,8 +216,7 @@ def classify_isometry(
     else:
         verdict = IsomVerdict(kind)
     graph_iso_reduces = not facts.well_founded or not facts.well_spaced
-    equals, _ = _isom_equals(facts, has_registered_witness)
-    return verdict, graph_iso_reduces, equals
+    return verdict, graph_iso_reduces, _isom_equals(facts, has_registered_witness)
 
 
 def _isometry_tags(verdict: IsomVerdict) -> list:
@@ -301,9 +306,7 @@ def build_report(desc: DistanceSetDesc) -> dict:
     citations["v_A_star"] = list(_VASTAR_TAGS[vastar.name])
 
     witness = has_shrinking_witness(desc)
-    isom, graph_iso_reduces, equals = classify_isometry(
-        facts, has_registered_witness=witness
-    )
+    isom, graph_iso_reduces, (equals, equal_tags) = _classify_isometry(facts, witness)
     if isom.kind == "BorelChain":
         report["isometry_star"] = {"kind": isom.kind, "position": isom.position}
     else:
@@ -313,7 +316,6 @@ def build_report(desc: DistanceSetDesc) -> dict:
     report["graph_iso_reduces"] = graph_iso_reduces
     citations["graph_iso_reduces"] = ["Thm 5.5"]
 
-    _, equal_tags = _isom_equals(facts, witness)
     report["isom_equals_isom_star"] = equals
     citations["isom_equals_isom_star"] = equal_tags
 

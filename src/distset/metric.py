@@ -49,7 +49,14 @@ def validate_metric(matrix: Sequence[Sequence[RationalLike]]) -> FiniteMetricSpa
             raise ValueError(f"matrix is not square: row of length {len(row)}, expected {n}")
         rows.append(tuple(rat(v) for v in row))
     d = tuple(rows)
+    _check_metric(d)
+    return FiniteMetricSpace(n, d)
 
+
+def _check_metric(d: Sequence[Sequence]) -> None:
+    """The checks of validate_metric on a square matrix of any exact
+    ordered numbers (Fractions, or integer codes scaled from them)."""
+    n = len(d)
     for i in range(n):
         if d[i][i] != 0:
             raise NonzeroDiagonal(i)
@@ -63,7 +70,12 @@ def validate_metric(matrix: Sequence[Sequence[RationalLike]]) -> FiniteMetricSpa
             for k in range(n):
                 if d[i][j] > d[i][k] + d[k][j]:
                     raise TriangleViolation(i, j, k)
-    return FiniteMetricSpace(n, d)
+
+
+def _is_metric_triple(a, b, c) -> bool:
+    """Whether three distances can be the sides of a (possibly degenerate)
+    triangle."""
+    return a <= b + c and b <= a + c and c <= a + b
 
 
 def distance_spectrum(space: FiniteMetricSpace) -> tuple[Fraction, ...]:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .errors import PoolExhausted, ZeroNotInDomain
+from .metric import _is_metric_triple
 from .rationals import format_rational, parse_rational
 
 Triple = tuple[Fraction, Fraction, Fraction]
@@ -41,10 +42,6 @@ class TabulatedFunction:
             if p == point:
                 return v
         raise KeyError(f"{point} not in the tabulated domain")
-
-
-def _is_metric_triple(a: Fraction, b: Fraction, c: Fraction) -> bool:
-    return a <= b + c and b <= a + c and c <= a + b
 
 
 def is_metric_preserving_finite(f: TabulatedFunction) -> tuple[bool, Triple | None]:

@@ -7,6 +7,20 @@ the first unrealized one-point extension demand, in a fixed deterministic
 order, until either no demand is left at the requested levels or the size
 budget is hit. Determinism makes stages replayable and prefix-monotone in
 the budget.
+
+Stage growth, the class listing and the homogeneity check run on integer
+codes; Fractions appear only in their arguments and results. A stage
+multiplies A by L, the lcm of its denominators, so every code is an int.
+The triangle and Katětov inequalities are linear and homogeneous, so scaling
+by L > 0 keeps every comparison, and with it every sort order and every
+choice the stage makes, exactly as on the rationals. The homogeneity check
+replaces distances by their rank in the space's spectrum, a strictly
+monotone map, so the lex order of distance patterns is kept too.
+
+The class listing buckets candidate spaces by an isometry invariant: the
+sorted multiset of their sorted distance rows. Isometric spaces share it, so
+a candidate is tested with find_isometry only against the earlier classes in
+its own bucket.
 """
 
 from __future__ import annotations
@@ -14,17 +28,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from typing import Iterable, Optional
 
 from .errors import BudgetTooSmall, FourValuesFails, InvariantViolation, SpectrumNotInA
-from .metric import FiniteMetricSpace, distance_spectrum, validate_metric
+from .metric import (
+    FiniteMetricSpace,
+    _check_metric,
+    _is_metric_triple,
+    distance_spectrum,
+    validate_metric,
+)
 from .oracles import find_embedding, find_isometry
 
 ZERO = Fraction(0)
-
-
-def _is_metric_triple(a: Fraction, b: Fraction, c: Fraction) -> bool:
-    return a <= b + c and b <= a + c and c <= a + b
 
 
 def four_values_check(values: Iterable[Fraction]) -> tuple[bool, Optional[tuple]]:
@@ -113,6 +130,21 @@ class StageResult:
     log: tuple[tuple[Fraction, ...], ...]
 
 
+def _codes(values: set) -> dict:
+    """Integer code v * L of each value, L the lcm of the denominators."""
+    scale = lcm(*(Fraction(v).denominator for v in values))
+    return {v: int(Fraction(v) * scale) for v in values}
+
+
+def _decoder(codes: dict) -> dict:
+    """The inverse of _codes, with 0 decoding to Fraction 0."""
+    return {0: ZERO, **{c: Fraction(v) for v, c in codes.items()}}
+
+
+def _decode_space(dist, value_of: dict) -> FiniteMetricSpace:
+    return FiniteMetricSpace(len(dist), tuple(tuple(value_of[c] for c in row) for row in dist))
+
+
 def _realized_patterns(dist, n: int, subset: tuple[int, ...]) -> set:
     pats = set()
     outside = [w for w in range(n) if w not in subset]
@@ -143,28 +175,50 @@ def _first_unmet_demand(dist, n: int, positive, j_max: int, skipped: set):
     return None
 
 
-def _complete_new_point(dist, n: int, positive, subset, g) -> Optional[list[Fraction]]:
+def _add_point(dist, multiplicity: dict, new: list[int]) -> None:
+    """Adjoin a point at distances new, counting the pair patterns it adds.
+
+    multiplicity[(u, t, a, b)] counts the points w other than u < t with
+    d(w, u) = a and d(w, t) = b. The new point p adds one pattern to every
+    old pair and creates the pairs (u, p); no other count changes.
+    """
+    p = len(dist)
+    for u, t in combinations(range(p), 2):
+        key = (u, t, new[u], new[t])
+        multiplicity[key] = multiplicity.get(key, 0) + 1
+    for i in range(p):
+        dist[i].append(new[i])
+    dist.append(new + [0])
+    for u in range(p):
+        for w in range(p):
+            if w != u:
+                key = (u, p, dist[w][u], new[w])
+                multiplicity[key] = multiplicity.get(key, 0) + 1
+
+
+def _complete_new_point(
+    dist, n: int, positive, multiplicity: dict, subset, g
+) -> Optional[list[int]]:
     """Distances of a new point realizing g over subset, or None.
 
     Free coordinates are filled by depth-first search; candidate values are
     ranked by how rare the pair patterns they produce currently are (weight
     1/(1+multiplicity) per pair), ties to the smallest value. Rewarding rare
     patterns keeps rows decorrelated; a plain unmet-only count lets one
-    value flood the space and pair demands then regenerate forever.
+    value flood the space and pair demands then regenerate forever. The
+    weights are kept exact as integers: scaled by lcm(1, ..., n), they are
+    whole numbers, and scaling every sum by one positive factor keeps the
+    ranking.
     """
     new = [None] * n
     for idx, s in enumerate(subset):
         new[s] = g[idx]
     free = [u for u in range(n) if new[u] is None]
 
-    multiplicity: dict = {}
-    for u, t in combinations(range(n), 2):
-        for w in range(n):
-            if w != u and w != t:
-                key = (u, t, dist[w][u], dist[w][t])
-                multiplicity[key] = multiplicity.get(key, 0) + 1
+    scale = lcm(*range(1, n + 1))
+    weight = [scale // (1 + m) for m in range(n)]
 
-    def consistent(u: int, val: Fraction) -> bool:
+    def consistent(u: int, val: int) -> bool:
         for t in range(n):
             if new[t] is None or t == u:
                 continue
@@ -172,14 +226,14 @@ def _complete_new_point(dist, n: int, positive, subset, g) -> Optional[list[Frac
                 return False
         return True
 
-    def coverage(u: int, val: Fraction) -> Fraction:
-        hits = Fraction(0)
+    def coverage(u: int, val: int) -> int:
+        hits = 0
         for t in range(n):
             if new[t] is None or t == u:
                 continue
             a, b = (u, t) if u < t else (t, u)
             va, vb = (val, new[t]) if u < t else (new[t], val)
-            hits += Fraction(1, 1 + multiplicity.get((a, b, va, vb), 0))
+            hits += weight[multiplicity.get((a, b, va, vb), 0)]
         return hits
 
     def fill(pos: int) -> bool:
@@ -217,39 +271,43 @@ def urysohn_stage(
     stage raises BudgetTooSmall instead; the exception carries the result.
     """
     values = set(A)
-    ok, witness = four_values_check(values)
+    codes = _codes(values)
+    value_of = _decoder(codes)
+    ok, witness = four_values_check(set(codes.values()))
     if not ok:
-        raise FourValuesFails(witness)
+        raise FourValuesFails(tuple(value_of[c] for c in witness))
     if ZERO not in values:
         raise ValueError("the distance set must contain 0")
     if size_budget < 1 or embed_bound < 1 or homog_bound < 1:
         raise ValueError("budgets and bounds must be >= 1")
 
-    positive = sorted(v for v in values if v > 0)
+    positive = sorted(c for c in codes.values() if c > 0)
     j_max = max(embed_bound - 1, homog_bound)
-    dist: list[list[Fraction]] = [[ZERO]]
+    dist: list[list[int]] = [[0]]
     n = 1
-    log: list[tuple[Fraction, ...]] = []
+    log: list[list[int]] = []
     skipped: set = set()
+    multiplicity: dict = {}
 
     while n < size_budget:
         demand = _first_unmet_demand(dist, n, positive, j_max, skipped)
         if demand is None:
             break
         subset, g = demand
-        new = _complete_new_point(dist, n, positive, subset, g)
+        new = _complete_new_point(dist, n, positive, multiplicity, subset, g)
         if new is None:
             skipped.add((subset, g))
             continue
-        for i in range(n):
-            dist[i].append(new[i])
-        dist.append(new + [ZERO])
+        _add_point(dist, multiplicity, new)
         n += 1
-        log.append(tuple(new))
+        log.append(new)
 
     saturated = _first_unmet_demand(dist, n, positive, j_max, set()) is None
-    space = validate_metric(dist)
-    result = StageResult(space, saturated, tuple(log))
+    _check_metric(dist)
+    space = _decode_space(dist, value_of)
+    result = StageResult(
+        space, saturated, tuple(tuple(value_of[c] for c in new) for new in log)
+    )
     if strict and not saturated:
         raise BudgetTooSmall(result)
     return result
@@ -258,35 +316,31 @@ def urysohn_stage(
 def enumerate_spaces_up_to_isometry(A: Iterable[Fraction], max_size: int) -> list[FiniteMetricSpace]:
     """All spaces with distances in A on at most max_size points, one per
     isometry class, smallest first."""
-    positive = sorted(v for v in set(A) if v > 0)
+    codes = _codes(set(A))
+    positive = sorted(c for c in codes.values() if c > 0)
     reps: list[FiniteMetricSpace] = []
+    buckets: dict = {}
     for n in range(1, max_size + 1):
         slots = list(combinations(range(n), 2))
+        slot_of = {pair: s for s, pair in enumerate(slots)}
+        sides = [
+            (slot_of[i, j], slot_of[i, k], slot_of[j, k])
+            for i, j, k in combinations(range(n), 3)
+        ]
         for choice in product(positive, repeat=len(slots)):
-            rows = [[ZERO] * n for _ in range(n)]
+            if not all(_is_metric_triple(choice[a], choice[b], choice[c]) for a, b, c in sides):
+                continue
+            rows = [[0] * n for _ in range(n)]
             for (i, j), v in zip(slots, choice):
                 rows[i][j] = v
                 rows[j][i] = v
-            ok = True
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        if rows[i][j] > rows[i][k] + rows[k][j]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
             space = FiniteMetricSpace(n, tuple(tuple(r) for r in rows))
-            if not any(
-                cand.n == n and find_isometry(space, cand, max_points=n) is not None
-                for cand in reps
-            ):
+            bucket = buckets.setdefault(tuple(sorted(tuple(sorted(r)) for r in rows)), [])
+            if not any(find_isometry(space, cand, max_points=n) is not None for cand in bucket):
+                bucket.append(space)
                 reps.append(space)
-    return reps
+    value_of = _decoder(codes)
+    return [_decode_space(X.dist, value_of) for X in reps]
 
 
 def verify_universality(
@@ -314,7 +368,8 @@ def verify_one_point_homogeneity(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    d = U.dist
+    rank = {v: r for r, v in enumerate(distance_spectrum(U))}
+    d = [[rank[v] for v in row] for row in U.dist]
     for j in range(1, k + 1):
         groups: dict = {}
         for tup in _ordered_tuples(U.n, j):

@@ -43,8 +43,13 @@ class Graph:
         a, b = (i, j) if i < j else (j, i)
         return (a, b) in self.edges
 
-    def degree(self, i: int) -> int:
-        return sum(1 for a, b in self.edges if i in (a, b))
+    def degrees(self) -> list[int]:
+        """Every vertex's degree, in one pass over the edges."""
+        deg = [0] * self.n
+        for a, b in self.edges:
+            deg[a] += 1
+            deg[b] += 1
+        return deg
 
 
 def glue(
@@ -218,11 +223,11 @@ def graph_from_json_dict(data: dict) -> Graph:
         raise ValueError("graph file must be an object with exactly the keys 'n' and 'edges'")
     n = data["n"]
     edges = data["edges"]
-    if not isinstance(n, int) or not isinstance(edges, list):
+    if type(n) is not int or not isinstance(edges, list):
         raise ValueError("graph file: 'n' must be an integer and 'edges' a list")
     pairs = set()
     for e in edges:
-        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(v, int) for v in e):
+        if not isinstance(e, list) or len(e) != 2 or not all(type(v) is int for v in e):
             raise ValueError(f"graph file: bad edge entry {e!r}")
         pairs.add((e[0], e[1]))
     return Graph(n, frozenset(pairs))

@@ -1,13 +1,31 @@
 """Finite metric spaces with exact rational distances.
 
-A space is stored as a full symmetric matrix. Validation scans row-major and
-reports the first witness, so error positions are reproducible.
+A space is stored as a full symmetric matrix of Fractions. Validation scans
+row-major and reports the first witness, so error positions are
+reproducible.
+
+The checks run on integer codes. validate_metric multiplies every entry by
+L, the lcm of the matrix's denominators, so each code is the int
+v.numerator * (L // v.denominator). The metric inequalities are linear and
+homogeneous, so scaling by L > 0 keeps every comparison exact and every
+witness where it was.
+
+The triangle check is a detour test. Once the first O(n^2) loop has found
+the matrix symmetric with a zero diagonal, column j equals row j, so the
+pair (i, j) breaks a triangle iff row_i[j] > min(row_i[k] + row_j[k]) over
+all k, a minimum taken at C level. The terms k = i and k = j equal
+row_i[j], so only a proper detour can fail the strict test. Only j > i is
+tested: (j, i) fails exactly when (i, j) does, so the first failing pair in
+row-major order has j > i. Re-scanning k in order for that pair alone gives
+the first (i, j, k) of the row-major triple scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -49,13 +67,18 @@ def validate_metric(matrix: Sequence[Sequence[RationalLike]]) -> FiniteMetricSpa
             raise ValueError(f"matrix is not square: row of length {len(row)}, expected {n}")
         rows.append(tuple(rat(v) for v in row))
     d = tuple(rows)
-    _check_metric(d)
+    _check_metric(_codes(d))
     return FiniteMetricSpace(n, d)
 
 
-def _check_metric(d: Sequence[Sequence]) -> None:
-    """The checks of validate_metric on a square matrix of any exact
-    ordered numbers (Fractions, or integer codes scaled from them)."""
+def _codes(d: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """The matrix scaled by the lcm of its denominators, as ints."""
+    scale = lcm(*{v.denominator for row in d for v in row})
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in d]
+
+
+def _check_metric(d: Sequence[Sequence[int]]) -> None:
+    """The checks of validate_metric on a square matrix of integer codes."""
     n = len(d)
     for i in range(n):
         if d[i][i] != 0:
@@ -66,10 +89,12 @@ def _check_metric(d: Sequence[Sequence]) -> None:
             if i != j and d[i][j] <= 0:
                 raise NonpositiveOffDiagonal(i, j)
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if d[i][j] > d[i][k] + d[k][j]:
-                    raise TriangleViolation(i, j, k)
+        row_i = d[i]
+        for j in range(i + 1, n):
+            row_j = d[j]
+            if row_i[j] > min(map(add, row_i, row_j)):
+                k = next(k for k in range(n) if row_i[j] > row_i[k] + row_j[k])
+                raise TriangleViolation(i, j, k)
 
 
 def _is_metric_triple(a, b, c) -> bool:
@@ -88,13 +113,16 @@ def distance_spectrum(space: FiniteMetricSpace) -> tuple[Fraction, ...]:
 
 
 def is_ultrametric(space: FiniteMetricSpace) -> bool:
-    """True when every triangle satisfies d(i,k) <= max(d(i,j), d(j,k))."""
-    d = space.dist
-    for i in range(space.n):
-        for j in range(space.n):
-            for k in range(space.n):
-                if d[i][k] > max(d[i][j], d[j][k]):
-                    return False
+    """True when every triangle satisfies d(i,k) <= max(d(i,j), d(j,k)).
+
+    On a symmetric matrix, d(j,k) is row_k[j], so the pair (i, k) fails
+    iff d(i,k) > min(max(row_i[j], row_k[j])) over all j.
+    """
+    d = _codes(space.dist)
+    for i, row_i in enumerate(d):
+        for k in range(i + 1, space.n):
+            if row_i[k] > min(map(max, row_i, d[k])):
+                return False
     return True
 
 
@@ -122,6 +150,9 @@ def space_from_json_dict(data: dict) -> FiniteMetricSpace:
         raise ValueError("matrix file must be an object with exactly the keys 'n' and 'dist'")
     n = data["n"]
     dist = data["dist"]
-    if not isinstance(n, int) or not isinstance(dist, list) or len(dist) != n:
-        raise ValueError("matrix file: 'n' must match the row count of 'dist'")
+    if type(n) is not int or not isinstance(dist, list) or len(dist) != n:
+        raise ValueError("matrix file: 'n' must be an integer equal to the row count of 'dist'")
+    for i, row in enumerate(dist):
+        if not isinstance(row, list) or not all(type(v) in (str, int) for v in row):
+            raise ValueError(f"matrix file: row {i} of 'dist' must be a list of 'p/q' strings or integers")
     return validate_metric(dist)

@@ -153,7 +153,8 @@ def graph_iso(G: Graph, H: Graph, *, max_points: Optional[int] = None) -> Option
     _guard(max(G.n, H.n), max_points)
     if G.n != H.n or len(G.edges) != len(H.edges):
         return None
-    if sorted(G.degree(i) for i in range(G.n)) != sorted(H.degree(j) for j in range(H.n)):
+    deg_G, deg_H = G.degrees(), H.degrees()
+    if sorted(deg_G) != sorted(deg_H):
         return None
 
     pm = PartialMap(G.n, H.n)
@@ -164,7 +165,7 @@ def graph_iso(G: Graph, H: Graph, *, max_points: Optional[int] = None) -> Option
             return True
         p = len(pm.assignment)
         for q in range(H.n):
-            if used[q] or G.degree(p) != H.degree(q):
+            if used[q] or deg_G[p] != deg_H[q]:
                 continue
             if all(G.adjacent(p, t) == H.adjacent(q, pm.assignment[t]) for t in pm.assignment):
                 pm.add(p, q)
@@ -187,6 +188,7 @@ def graph_embed(G: Graph, H: Graph, *, max_points: Optional[int] = None) -> Opti
     _guard(max(G.n, H.n), max_points)
     if G.n > H.n or len(G.edges) > len(H.edges):
         return None
+    deg_G, deg_H = G.degrees(), H.degrees()
 
     pm = PartialMap(G.n, H.n)
     used = [False] * H.n
@@ -196,7 +198,7 @@ def graph_embed(G: Graph, H: Graph, *, max_points: Optional[int] = None) -> Opti
             return True
         p = len(pm.assignment)
         for q in range(H.n):
-            if used[q] or H.degree(q) < G.degree(p):
+            if used[q] or deg_H[q] < deg_G[p]:
                 continue
             if all(G.adjacent(p, t) == H.adjacent(q, pm.assignment[t]) for t in pm.assignment):
                 pm.add(p, q)

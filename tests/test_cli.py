@@ -143,6 +143,39 @@ def test_construct_graph_space_and_back(capsys, tmp_path):
     assert graph == {"edges": [[0, 1], [1, 2]], "n": 3}
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n": 2, "dist": ["01", "10"]}, "row 0 of 'dist' must be a list"),
+        ({"n": True, "dist": [["0"]]}, "'n' must be an integer"),
+        ({"n": 2, "dist": [["0", True], [True, "0"]]}, "row 0 of 'dist' must be a list"),
+        ({"n": 1, "dist": [[0.0]]}, "row 0 of 'dist' must be a list"),
+        ({"n": 2, "dist": [["0", "1"], "10"]}, "row 1 of 'dist' must be a list"),
+    ],
+)
+def test_matrix_loader_rejects_malformed_files(capsys, tmp_path, payload, message):
+    src = write_json(tmp_path / "bad.json", payload)
+    code, out, err = run(capsys, "construct", "space-to-graph", src, "--r", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: matrix file: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n": 2, "edges": [[True, False]]}, "bad edge entry [True, False]"),
+        ({"n": 2, "edges": [[0, True]]}, "bad edge entry [0, True]"),
+        ({"n": True, "edges": []}, "'n' must be an integer"),
+        ({"n": 2, "edges": [[0, 1.0]]}, "bad edge entry [0, 1.0]"),
+    ],
+)
+def test_graph_loader_rejects_malformed_files(capsys, tmp_path, payload, message):
+    src = write_json(tmp_path / "bad.json", payload)
+    code, out, err = run(capsys, "construct", "graph-space", src, "--r", "1", "--rp", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: graph file: ") and message in err
+
+
 def test_construct_wrong_arity(capsys, tmp_path):
     a = write_json(tmp_path / "a.json", PAIR_1)
     code, out, err = run(capsys, "construct", "glue", a, "--r", "1")

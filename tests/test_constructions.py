@@ -258,7 +258,15 @@ def test_graph_normalizes_edge_order():
     G = Graph(3, frozenset({(2, 0)}))
     assert G.edges == frozenset({(0, 2)})
     assert G.adjacent(0, 2) and G.adjacent(2, 0)
-    assert G.degree(1) == 0
+    assert G.degrees() == [1, 0, 1]
+
+
+@given(st.integers(1, 8), st.data())
+def test_graph_degrees_count_incident_edges(n, data):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    G = Graph(n, frozenset(edges))
+    assert G.degrees() == [sum(1 for e in edges if i in e) for i in range(n)]
 
 
 def test_graph_rejects_loops_and_range_errors():
@@ -320,6 +328,8 @@ def test_graph_json_round_trip():
         {"n": "2", "edges": []},
         {"n": 2, "edges": [[0]]},
         {"n": 2, "edges": [["0", "1"]]},
+        {"n": 2, "edges": [[True, False]]},
+        {"n": True, "edges": []},
     ],
 )
 def test_graph_from_json_rejects_bad_shapes(raw):

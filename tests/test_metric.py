@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from distset.errors import (
     AsymmetricMatrix,
+    DistSetError,
     EmptySelection,
     IndexOutOfRange,
     NonpositiveOffDiagonal,
@@ -131,6 +132,15 @@ def test_json_dict_requires_exact_keys():
         space_from_json_dict({"n": 3, "dist": [["0"]]})
 
 
+def test_json_dict_requires_list_rows_and_an_int_size():
+    with pytest.raises(ValueError, match="row 0 of 'dist' must be a list"):
+        space_from_json_dict({"n": 2, "dist": ["01", "10"]})
+    with pytest.raises(ValueError, match="'n' must be an integer"):
+        space_from_json_dict({"n": True, "dist": [["0"]]})
+    with pytest.raises(ValueError, match="row 1 of 'dist'"):
+        space_from_json_dict({"n": 2, "dist": [["0", "1"], ["1", False]]})
+
+
 # Off-diagonal values drawn from [v, 2v] cannot break the triangle
 # inequality, so these matrices are valid by construction.
 @st.composite
@@ -162,3 +172,50 @@ def test_subspace_of_valid_space_validates(case, data):
     )
     S = subspace(X, picked)
     assert validate_metric([list(r) for r in S.dist]).dist == S.dist
+
+
+# Any symmetric zero-diagonal matrix over a small pool, so triangles both
+# hold and break, with an occasional planted nonzero diagonal, asymmetric
+# pair or non-positive entry.
+@st.composite
+def matrix_with_defects(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    pool = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(5)]
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from(pool))
+    defect = draw(st.sampled_from([None, None, None, "diagonal", "asymmetry", "nonpositive"]))
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.integers(0, n - 1).filter(lambda j: j != i)) if n > 1 else i
+    if defect == "diagonal":
+        rows[i][i] = Fraction(1, 2)
+    elif defect == "asymmetry" and i != j:
+        rows[i][j] += 1
+    elif defect == "nonpositive" and i != j:
+        rows[i][j] = rows[j][i] = draw(st.sampled_from([Fraction(0), Fraction(-1, 3)]))
+    return rows
+
+
+def _validation_outcome(rows):
+    try:
+        return validate_metric(rows)
+    except DistSetError as exc:
+        return type(exc), tuple(getattr(exc, a) for a in "ijk" if hasattr(exc, a))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    matrix_with_defects(),
+    st.builds(Fraction, st.integers(1, 60), st.integers(1, 60)),
+)
+def test_positive_scaling_keeps_validation_outcome(rows, q):
+    # The integer kernels rest on this: the checks are homogeneous, so
+    # multiplying every entry by q > 0 changes no verdict and no witness.
+    got = _validation_outcome(rows)
+    scaled = _validation_outcome([[v * q for v in row] for row in rows])
+    if isinstance(got, tuple):
+        assert scaled == got
+    else:
+        assert isinstance(scaled, type(got))
+        assert is_ultrametric(scaled) == is_ultrametric(got)

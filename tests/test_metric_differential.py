@@ -1,0 +1,217 @@
+"""The integer detour kernels of distset.metric against the triple loops they
+replaced (tests/metric_reference.py).
+
+Seeded matrices with n from 1 to 30 and denominators 1, 2, 3 and 7. Entries
+come from [m, 2m], where every triangle holds, and some are drawn wider to
+break triangles. Some matrices get a planted nonzero diagonal, asymmetric
+pair or non-positive entry. Each goes through validate_metric as rationals
+and through _check_metric as raw ints (the code path of urysohn_stage); the
+exception class and its witness indices must equal the reference's.
+is_ultrametric is compared on every matrix that passes the first checks,
+and on planted ultrametrics with and without one broken pair.
+"""
+
+import random
+from fractions import Fraction
+from functools import cache
+from math import lcm
+
+import pytest
+
+import metric_reference as ref
+from distset.errors import DistSetError, TriangleViolation
+from distset.metric import (
+    FiniteMetricSpace,
+    _check_metric,
+    is_ultrametric,
+    validate_metric,
+)
+from distset.rationals import format_rational, rat
+
+DENOMINATORS = (1, 2, 3, 7)
+SEED = 20180918
+
+
+def _entry(rng, m, den, wide):
+    if wide:
+        return Fraction(rng.randint(1, 5 * m * den), den)
+    return Fraction(rng.randint(m * den, 2 * m * den), den)
+
+
+def _matrix(rng, n, dens, wide_share, plant):
+    """A symmetric matrix with zero diagonal, then at most one planted defect."""
+    m = rng.randint(1, 6)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = _entry(rng, m, rng.choice(dens), rng.random() < wide_share)
+            rows[i][j] = rows[j][i] = v
+    if plant == "diagonal":
+        i = rng.randrange(n)
+        rows[i][i] = Fraction(rng.choice((-1, 1)), rng.choice(dens))
+    elif plant == "asymmetry" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] += Fraction(1, rng.choice(dens))
+    elif plant == "nonpositive" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = rows[j][i] = Fraction(-rng.randint(0, 2), rng.choice(dens))
+    return rows
+
+
+def _ultrametric(rng, n, dens):
+    """Points at distinct leaves of a binary tree; distance by split level."""
+    depth = max(1, n.bit_length())
+    levels = sorted({Fraction(rng.randint(1, 40), rng.choice(dens)) for _ in range(depth + 4)})
+    levels = levels[::-1][: depth + 1]
+    while len(levels) < depth + 1:
+        levels.append(levels[-1] / 2)
+    leaves = rng.sample(range(2 ** depth), n)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            split = depth - (leaves[i] ^ leaves[j]).bit_length()
+            rows[i][j] = rows[j][i] = levels[split]
+    if n > 2 and rng.random() < 0.5:
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = rows[j][i] = rows[i][j] * Fraction(rng.choice((2, 3)), rng.choice((1, 2, 3)))
+    return rows
+
+
+def _cases(count, seed=SEED):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.randint(1, 30) if rng.random() < 0.3 else rng.randint(1, 12)
+        dens = rng.choice((DENOMINATORS, (1,), (rng.choice(DENOMINATORS),)))
+        wide_share = rng.choice((0.0, 0.0, 0.02, 0.1, 0.3))
+        plant = rng.choice((None, None, None, "diagonal", "asymmetry", "nonpositive"))
+        cases.append(_matrix(rng, n, dens, wide_share, plant))
+    return cases
+
+
+def _ultrametric_cases(count, seed=SEED):
+    rng = random.Random(seed)
+    return [_ultrametric(rng, rng.randint(1, 20), DENOMINATORS) for _ in range(count)]
+
+
+def _outcome(check, matrix):
+    """(error class name, witness indices), or None when the check passes."""
+    try:
+        check(matrix)
+    except DistSetError as exc:
+        return type(exc).__name__, tuple(getattr(exc, a) for a in "ijk" if hasattr(exc, a))
+    return None
+
+
+def _reference_validate(matrix):
+    ref._check_metric([[rat(v) for v in row] for row in matrix])
+
+
+def _int_codes(matrix):
+    scale = lcm(*(v.denominator for row in matrix for v in row))
+    return [[int(v * scale) for v in row] for row in matrix]
+
+
+CASES = _cases(1200)
+ULTRA = _ultrametric_cases(120)
+
+
+@cache
+def _reference(index):
+    return _outcome(_reference_validate, CASES[index])
+
+
+def _mixed_types(rng, matrix):
+    """The same matrix with entries given as Fraction, int or 'p/q' text."""
+    out = []
+    for row in matrix:
+        out.append([
+            v if rng.random() < 0.4
+            else format_rational(v) if rng.random() < 0.5 or v.denominator != 1
+            else int(v)
+            for v in row
+        ])
+    return out
+
+
+def test_cases_cover_the_stated_ranges():
+    sizes = {len(rows) for rows in CASES}
+    assert sizes == set(range(1, 31))
+    denominators = {v.denominator for rows in CASES for row in rows for v in row}
+    assert set(DENOMINATORS) <= denominators
+    names = [o[0] for o in map(_reference, range(len(CASES))) if o]
+    for name in ("NonzeroDiagonal", "AsymmetricMatrix", "NonpositiveOffDiagonal"):
+        assert names.count(name) >= 50, name
+    assert names.count("TriangleViolation") >= 200
+    assert len(names) < len(CASES) - 300  # plenty of valid spaces too
+    big = [_reference(i) for i, rows in enumerate(CASES) if len(rows) > 12]
+    assert big.count(None) >= 30 and len(big) - big.count(None) >= 30
+
+
+def test_triangle_witnesses_are_not_all_the_cheapest_detour():
+    # A kernel that reports the argmin of row_i + row_j instead of
+    # re-scanning k in order must disagree on some case.
+    differs = 0
+    for index, rows in enumerate(CASES):
+        outcome = _reference(index)
+        if outcome and outcome[0] == "TriangleViolation":
+            i, j, k = outcome[1]
+            sums = [rows[i][t] + rows[t][j] for t in range(len(rows))]
+            differs += sums.index(min(sums)) != k
+    assert differs >= 20
+
+
+@pytest.mark.parametrize("batch", range(12))
+def test_validate_metric_matches_triple_loop(batch):
+    rng = random.Random(SEED + batch)
+    for index in range(batch, len(CASES), 12):
+        rows = CASES[index]
+        given = _mixed_types(rng, rows)
+        assert _outcome(validate_metric, given) == _reference(index), index
+
+
+@pytest.mark.parametrize("batch", range(12))
+def test_int_check_matches_triple_loop(batch):
+    for index in range(batch, len(CASES), 12):
+        codes = _int_codes(CASES[index])
+        assert all(type(v) is int for row in codes for v in row)
+        want = _outcome(ref._check_metric, codes)
+        assert _outcome(_check_metric, codes) == want, index
+        assert _outcome(validate_metric, codes) == want, index
+
+
+def test_valid_results_keep_fractions():
+    for index, rows in enumerate(CASES[:200]):
+        if _reference(index) is None:
+            X = validate_metric(rows)
+            assert X.dist == tuple(tuple(row) for row in rows)
+            assert all(type(v) is Fraction for row in X.dist for v in row)
+
+
+def test_is_ultrametric_matches_triple_loop():
+    checked = [
+        rows for index, rows in enumerate(CASES)
+        if _reference(index) is None or _reference(index)[0] == "TriangleViolation"
+    ]
+    spaces = [FiniteMetricSpace(len(rows), tuple(map(tuple, rows))) for rows in checked + ULTRA]
+    verdicts = [ref.is_ultrametric(X) for X in spaces]
+    assert sum(verdicts) >= 60 and verdicts.count(False) >= 60
+    for X, want in zip(spaces, verdicts):
+        assert is_ultrametric(X) == want, X.dist
+
+
+def test_triangle_witness_is_the_first_detour_not_the_cheapest():
+    # Row 0 holds; (1, 2) fails through k = 0 and, more cheaply, through
+    # k = 3. The row-major scan reports k = 0.
+    d = [
+        [0, 2, 2, 2],
+        [2, 0, 5, 1],
+        [2, 5, 0, 1],
+        [2, 1, 1, 0],
+    ]
+    with pytest.raises(TriangleViolation) as exc:
+        validate_metric(d)
+    assert (exc.value.i, exc.value.j, exc.value.k) == (1, 2, 0)
+    with pytest.raises(TriangleViolation) as ref_exc:
+        ref._check_metric(d)
+    assert (ref_exc.value.i, ref_exc.value.j, ref_exc.value.k) == (1, 2, 0)

@@ -14,6 +14,7 @@ from .distance_sets import (
     DistanceSetDesc,
     SetFacts,
     compute_facts,
+    facts_realizable,
     facts_to_json_dict,
     has_shrinking_witness,
 )
@@ -62,12 +63,6 @@ class EmbedVerdict:
     kind: str
     position: Optional[Union[int, str]] = None
     invariantly_universal: Optional[bool] = None
-
-
-def facts_realizable(facts: SetFacts) -> bool:
-    """Whether some Polish metric space has exactly this distance set:
-    0 must belong, and the set must be countable or accumulate at 0."""
-    return facts.zero_in_A and (facts.countable or not facts.zero_isolated)
 
 
 def _require_realizable(facts: SetFacts) -> None:

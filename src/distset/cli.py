@@ -14,6 +14,7 @@ be fed back in as inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -255,7 +256,10 @@ def _cmd_mpf(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves no
+    state in it, and building it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="distset",
         description="analyze rational distance sets and the finite spaces over them",
@@ -312,8 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
     except DistSetError as exc:

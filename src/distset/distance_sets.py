@@ -232,14 +232,40 @@ def _component_sup(comp: Component) -> Fraction | None:
     return comp.b
 
 
+def _zero_facts(desc: DistanceSetDesc) -> tuple[bool, bool, bool]:
+    """(zero_in_A, zero_isolated, countable) of the described union, after
+    checking that every component is of a known kind."""
+    comps = desc.components
+    for comp in comps:
+        if not isinstance(
+            comp, (FiniteSet, GeomDown, GeomUp, ClosedInterval, HalfOpenInterval, DenseRationals)
+        ):
+            raise UnsupportedDescription(type(comp).__name__)
+    return (
+        any(_component_contains_zero(c) for c in comps),
+        not any(_accumulates_at_zero(c) for c in comps),
+        not any(isinstance(c, _INTERVAL_KINDS) for c in comps),
+    )
+
+
+def _realizable(zero_in_A: bool, zero_isolated: bool, countable: bool) -> bool:
+    """0 must belong, and the set must be countable or accumulate at 0."""
+    return zero_in_A and (countable or not zero_isolated)
+
+
 def is_distance_set(desc: DistanceSetDesc) -> bool:
     """Whether some complete separable metric space realizes exactly this set.
 
     Holds iff 0 belongs to the set and the set is countable or accumulates
-    at 0.
+    at 0. Reads only those three facts, so it never runs the 4-values check.
     """
-    facts = compute_facts(desc)
-    return facts.zero_in_A and (facts.countable or not facts.zero_isolated)
+    return _realizable(*_zero_facts(desc))
+
+
+def facts_realizable(facts: SetFacts) -> bool:
+    """Whether some Polish metric space has exactly this distance set, by
+    the rule of is_distance_set."""
+    return _realizable(facts.zero_in_A, facts.zero_isolated, facts.countable)
 
 
 # --- well-spacedness ---------------------------------------------------------
@@ -409,16 +435,8 @@ def _interval_from_zero(desc: DistanceSetDesc, zero_in: bool) -> bool:
 
 def compute_facts(desc: DistanceSetDesc) -> SetFacts:
     """Closed-form structural facts of the described union."""
+    zero_in, zero_isolated, countable = _zero_facts(desc)
     comps = desc.components
-    for comp in comps:
-        if not isinstance(
-            comp, (FiniteSet, GeomDown, GeomUp, ClosedInterval, HalfOpenInterval, DenseRationals)
-        ):
-            raise UnsupportedDescription(type(comp).__name__)
-
-    zero_in = any(_component_contains_zero(c) for c in comps)
-    zero_isolated = not any(_accumulates_at_zero(c) for c in comps)
-    countable = not any(isinstance(c, _INTERVAL_KINDS) for c in comps)
     dense_near_zero = any(
         isinstance(c, _INTERVAL_KINDS) or (isinstance(c, DenseRationals) and c.a == 0)
         for c in comps

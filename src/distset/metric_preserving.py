@@ -4,16 +4,35 @@ A function f with f(0) = 0 is metric preserving on its domain when composing
 it with any metric whose distances lie in the domain yields a metric again.
 On finite data this reduces to checking triples, since any violation is
 already visible on two or three points.
+
+The kernels run on integer codes. The domain and the values are each
+multiplied by the lcm of their own denominators; every test is homogeneous
+in the domain and, separately, in the values, so no verdict and no witness
+moves. The slope construction scales a, tail and pool by one lcm, since its
+identity part compares inputs with values. Fractions are read only to make
+the codes, and the caller's Fractions are returned.
+
+For a domain pair i <= j (sorted domain D, values V), the third points a
+triangle admits are the indices k in [j, bisect_right(D, D[i] + D[j])), and
+the triple is preserved iff |V[i] - V[j]| <= V[k] <= V[i] + V[j]. So each
+pair tests the minimum and maximum of one slice of V at C level, and only
+the first failing pair is re-scanned in k order, so the witness is the
+first failing triple in (i, j, k) order. Once f is nondecreasing, the sufficient
+condition needs only the last index of each range. In the slope
+construction the points kept so far are already admissible, so a candidate
+changes only the slopes next to its insertion point: at most three
+comparisons, made by cross-multiplication.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from math import lcm
 
 from .errors import PoolExhausted, ZeroNotInDomain
-from .metric import _is_metric_triple
+from .metric import _codes
 from .rationals import format_rational, parse_rational
 
 Triple = tuple[Fraction, Fraction, Fraction]
@@ -44,6 +63,13 @@ class TabulatedFunction:
         raise KeyError(f"{point} not in the tabulated domain")
 
 
+def _domain_and_value_codes(f: TabulatedFunction) -> tuple[list[int], list[int]]:
+    """The domain and the values, each scaled by the lcm of its own
+    denominators."""
+    (D,), (V,) = _codes([f.domain]), _codes([[v for _, v in f.pairs]])
+    return D, V
+
+
 def is_metric_preserving_finite(f: TabulatedFunction) -> tuple[bool, Triple | None]:
     """Exhaustive triple check; returns (verdict, witness).
 
@@ -51,20 +77,24 @@ def is_metric_preserving_finite(f: TabulatedFunction) -> tuple[bool, Triple | No
     positivity failure is reported as (a, a, 0): the doubled point marks the
     two-point space whose image distance collapses to <= 0.
     """
-    values = dict(f.pairs)
-    if Fraction(0) not in values:
+    if not f.pairs or f.pairs[0][0] != 0:
         raise ZeroNotInDomain()
-    if values[Fraction(0)] != 0:
-        return False, (Fraction(0), Fraction(0), Fraction(0))
-    for a, fa in f.pairs:
-        if a > 0 and fa <= 0:
-            return False, (a, a, Fraction(0))
     domain = f.domain
-    for a, b, c in combinations_with_replacement(domain, 3):
-        if c > a + b:
-            continue
-        if not _is_metric_triple(values[a], values[b], values[c]):
-            return False, (c, b, a)
+    D, V = _domain_and_value_codes(f)
+    if V[0] != 0:
+        return False, (Fraction(0), Fraction(0), Fraction(0))
+    for k in range(1, len(V)):
+        if V[k] <= 0:
+            return False, (domain[k], domain[k], Fraction(0))
+    n = len(D)
+    for i in range(n):
+        for j in range(i, n):
+            lo, hi = abs(V[i] - V[j]), V[i] + V[j]
+            end = bisect_right(D, D[i] + D[j], j)
+            images = V[j:end]
+            if min(images) < lo or max(images) > hi:
+                k = next(k for k in range(j, end) if not lo <= V[k] <= hi)
+                return False, (domain[k], domain[j], domain[i])
     return True, None
 
 
@@ -74,18 +104,15 @@ def check_sufficient_condition(f: TabulatedFunction) -> bool:
     A cheap sound criterion: anything passing it is metric preserving on the
     domain.
     """
-    values = dict(f.pairs)
-    domain = f.domain
-    for (p, v), (q, w) in zip(f.pairs, f.pairs[1:]):
-        if v > w:
-            return False
-    for s in domain:
-        for t in domain:
-            if t < s:
-                continue
-            for r in domain:
-                if t < r <= s + t and values[r] > values[s] + values[t]:
-                    return False
+    D, V = _domain_and_value_codes(f)
+    if any(v > w for v, w in zip(V, V[1:])):
+        return False
+    n = len(D)
+    for i in range(n):
+        for j in range(i, n):
+            last = bisect_right(D, D[i] + D[j], j) - 1
+            if last > j and V[last] > V[i] + V[j]:
+                return False
     return True
 
 
@@ -114,32 +141,55 @@ def slope_construction(
         if not a < y < b:
             raise ValueError(f"pool value {y} outside the open interval ({a}, {b})")
 
+    scale = lcm(a.denominator, *(v.denominator for v in tail), *(y.denominator for y in pool))
+
+    def code(v: Fraction) -> int:
+        return v.numerator * (scale // v.denominator)
+
+    by_code = {code(y): y for y in pool}
+    ladder = sorted(by_code)
     points: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
+    xs, ys = [0], [0]
     if a > 0:
         points.append((a, a))
-
-    def admissible(candidate: list[tuple[Fraction, Fraction]]) -> bool:
-        for (x0, y0), (x1, y1) in zip(candidate, candidate[1:]):
-            if y1 <= y0:
-                return False
-        slopes = [
-            (y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(candidate, candidate[1:])
-        ]
-        return all(s0 > s1 for s0, s1 in zip(slopes, slopes[1:]))
+        xs.append(code(a))
+        ys.append(code(a))
 
     for v in tail:
-        chosen = None
-        for y in sorted(pool, reverse=True):
-            if y >= v:
-                continue
-            candidate = sorted(points + [(v, y)])
-            if admissible(candidate):
-                chosen = y
+        x = code(v)
+        t = bisect_left(xs, x)
+        for rank in range(bisect_left(ladder, x) - 1, -1, -1):
+            y = ladder[rank]
+            if _fits(xs, ys, t, x, y):
                 break
-        if chosen is None:
+        else:
             raise PoolExhausted(v)
-        points = sorted(points + [(v, chosen)])
+        points.insert(t, (v, by_code[y]))
+        xs.insert(t, x)
+        ys.insert(t, y)
     return TabulatedFunction(tuple(points))
+
+
+def _fits(xs: list[int], ys: list[int], t: int, x: int, y: int) -> bool:
+    """Whether (x, y), inserted at index t of an admissible polyline, keeps
+    it admissible: values strictly increasing, slopes strictly decreasing.
+
+    Only the segments next to the new point change, so this compares the
+    new slopes with their neighbours by cross-multiplication; every x
+    difference is positive.
+    """
+    x0, y0 = xs[t - 1], ys[t - 1]
+    if y <= y0:
+        return False
+    if t >= 2 and (y0 - ys[t - 2]) * (x - x0) <= (y - y0) * (x0 - xs[t - 2]):
+        return False
+    if t < len(xs):
+        x1, y1 = xs[t], ys[t]
+        if y1 <= y or (y - y0) * (x1 - x) <= (y1 - y) * (x - x0):
+            return False
+        if t + 1 < len(xs) and (y1 - y) * (xs[t + 1] - x1) <= (ys[t + 1] - y1) * (x1 - x):
+            return False
+    return True
 
 
 def func_to_json(f: TabulatedFunction) -> list[list[str]]:

@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 from distset import __version__
+from distset import cli
 from distset.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -366,3 +367,40 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "isometry", "only-one-file"])
     assert exc.value.code == 2
+
+
+def _exit_and_streams(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_built_once_serves_every_call_alike(capsys, tmp_path):
+    # The parser is cached per process. A usage error (exit 2) and a domain
+    # error (exit 1) in between must leave no trace: each call prints and
+    # returns what it does on a freshly built parser.
+    src = str(DATA / "descs" / "finite-0-1-2.json")
+    slope = write_json(
+        tmp_path / "s.json",
+        {"a": "1", "b": "2", "tail": ["2", "3"], "pool": ["3/2"]},
+    )
+    calls = [
+        ("analyze", "--input", src, "--format", "text"),
+        ("oracle", "isometry", "only-one-file"),
+        ("mpf", "slope", "--input", slope),
+        ("analyze", "--input", src, "--format", "text"),
+    ]
+    cli._build_parser.cache_clear()
+    cached = [_exit_and_streams(capsys, argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_exit_and_streams(capsys, argv))
+    assert [code for code, _, _ in cached] == [0, 2, 1, 0]
+    assert cached == fresh
+    assert cached[0] == cached[3]
+    assert cached[2][2] == "no admissible pool value remains for input 3\n"

@@ -26,6 +26,7 @@ from distset.distance_sets import (
     desc_from_json,
     desc_to_json,
     facts_consistent,
+    facts_realizable,
     facts_to_json_dict,
     has_shrinking_witness,
     is_distance_set,
@@ -407,6 +408,22 @@ ASSORTED = [
 @pytest.mark.parametrize("desc", ASSORTED)
 def test_computed_facts_are_internally_consistent(desc):
     assert facts_consistent(compute_facts(desc))
+
+
+@pytest.mark.parametrize("desc", ASSORTED)
+def test_is_distance_set_agrees_with_the_classifier_rule(desc):
+    assert is_distance_set(desc) == facts_realizable(compute_facts(desc))
+
+
+def test_is_distance_set_skips_the_four_values_check(monkeypatch):
+    import distset.urysohn
+
+    def forbidden(values):
+        raise AssertionError("is_distance_set ran the 4-values check")
+
+    monkeypatch.setattr(distset.urysohn, "four_values_check", forbidden)
+    assert is_distance_set(D(fs(*range(0, 60, 3))))
+    assert not is_distance_set(D(fs(*range(1, 60, 3))))
 
 
 def test_facts_consistent_rejects_contradictions():

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distset.errors import PoolExhausted, ZeroNotInDomain
 from distset.metric import validate_metric
@@ -65,6 +66,13 @@ def test_fast_growth_breaks_triangle():
     assert f(c) > f(a) + f(b)  # its image is not
 
 
+def test_witness_is_first_in_scan_order_past_a_degenerate_triangle():
+    # Pair (1, 3) admits c in {3, 7/2, 4}. At 7/2 the image sits exactly on
+    # |f(1) - f(3)| = 2, a degenerate triangle; 4 is the first failure.
+    f = tab((0, 0), (1, 1), (3, 3), (F(7, 2), 2), (4, 1))
+    assert is_metric_preserving_finite(f) == (False, (F(4), F(3), F(1)))
+
+
 def test_unrealizable_triples_are_skipped():
     # 1,1,3 never occurs in a metric, so the huge jump at 3 is harmless
     f = tab((0, 0), (1, 1), (3, 100))
@@ -98,6 +106,12 @@ def test_slope_picks_largest_admissible_pool_value():
     assert check_sufficient_condition(f)
     ok, _ = is_metric_preserving_finite(f)
     assert ok
+
+
+def test_slope_identity_part_keeps_its_own_denominator():
+    # a = 1/2 shares no denominator with the tail or the pool
+    f = slope_construction(F(1, 2), F(2), (F(3),), [F(1)])
+    assert f.pairs == ((F(0), F(0)), (F(1, 2), F(1, 2)), (F(3), F(1)))
 
 
 def test_slope_processes_tail_in_given_order():
@@ -196,3 +210,27 @@ def test_preserving_function_transforms_valid_space():
     rows = [[SNAPPED(X.dist[i][j]) for j in range(X.n)] for i in range(X.n)]
     Y = validate_metric(rows)
     assert Y.n == 3
+
+
+positive_rationals = st.builds(F, st.integers(1, 40), st.integers(1, 12))
+
+
+@st.composite
+def tables(draw):
+    domain = draw(st.sets(positive_rationals, max_size=7))
+    values = [draw(st.sampled_from((F(-1), F(0), F(1, 3), F(1), F(2), F(5, 2), F(7))))
+              for _ in domain]
+    return TabulatedFunction(((F(0), F(0)), *zip(sorted(domain), values)))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(tables(), positive_rationals, positive_rationals)
+def test_positive_scaling_keeps_verdicts(f, c, d):
+    # The integer kernels rest on this: domain and values are scaled apart,
+    # so multiplying each by its own positive factor changes no verdict and
+    # moves the witness with the domain.
+    scaled = TabulatedFunction(tuple((c * x, d * v) for x, v in f.pairs))
+    ok, witness = is_metric_preserving_finite(f)
+    want = None if witness is None else tuple(c * x for x in witness)
+    assert is_metric_preserving_finite(scaled) == (ok, want)
+    assert check_sufficient_condition(scaled) == check_sufficient_condition(f)

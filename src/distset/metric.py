@@ -103,6 +103,19 @@ def _is_metric_triple(a, b, c) -> bool:
     return a <= b + c and b <= a + c and c <= a + b
 
 
+def _extends(dist, points: Sequence[int], values: Sequence) -> bool:
+    """Whether a new point at distance values[a] from points[a], for each a,
+    keeps every triangle it closes: |v_a - v_b| <= d(p_a, p_b) <= v_a + v_b.
+    """
+    for a, va in enumerate(values):
+        row = dist[points[a]]
+        for b in range(a + 1, len(values)):
+            vb = values[b]
+            if not abs(va - vb) <= row[points[b]] <= va + vb:
+                return False
+    return True
+
+
 def distance_spectrum(space: FiniteMetricSpace) -> tuple[Fraction, ...]:
     """All realized distances including 0, deduplicated, ascending."""
     values = {ZERO}

@@ -1,56 +1,50 @@
 """Brute-force oracles: isometry, isometric embedding, graph isomorphism and
 induced embedding, plus a biconditional checker for reduction maps.
 
-The searches are exact backtracking with cheap sound filters in front. They
-are meant as ground truth on desk-scale instances, so a guardrail refuses
-anything past 12 points unless the caller raises it explicitly or through the
-DISTSET_MAX_POINTS environment variable.
+All four searches run on one backtracking core, _first_map. It maps the
+points of a label matrix dx injectively into the points of a label matrix dy
+so that every pair keeps its label. Spaces pass their distance matrices,
+graphs a 0/1 adjacency matrix. Each search differs only in its cheap sound
+pre-checks and in what it hands the core: the order in which the points of
+dx are placed, and for each point the targets it may take, tried in the
+order given. The first map found is the witness, so both are part of the
+output.
+
+Graphs place their vertices in index order, with targets filtered by degree.
+Spaces place the most constrained point first: the one whose sorted
+distances to the points already placed are least, ties to the smallest
+index. That key depends only on X and on the set of points placed, which
+the choices before it fix at each depth, so the sequence is one fixed order
+of X, computed once per call.
+
+The searches are meant as ground truth on desk-scale instances, so a
+guardrail refuses anything past 12 points unless the caller raises it
+explicitly or through the DISTSET_MAX_POINTS environment variable.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .constructions import Graph
 from .errors import GuardrailExceeded
-from .metric import FiniteMetricSpace, distance_spectrum
+from .metric import FiniteMetricSpace
 
 DEFAULT_MAX_POINTS = 12
-
-
-@dataclass
-class PartialMap:
-    """Injective partial assignment from 0..n-1 into 0..m-1; the search state.
-
-    Every assigned pair must preserve the pairwise structure, which the
-    searches check before calling add().
-    """
-
-    n: int
-    m: int
-    assignment: dict[int, int] = field(default_factory=dict)
-
-    def add(self, p: int, q: int) -> None:
-        self.assignment[p] = q
-
-    def remove(self, p: int) -> None:
-        del self.assignment[p]
-
-    def is_total(self) -> bool:
-        return len(self.assignment) == self.n
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(self.assignment[i] for i in range(self.n))
 
 
 def _bound(max_points: Optional[int]) -> int:
     if max_points is not None:
         return max_points
     env = os.environ.get("DISTSET_MAX_POINTS")
-    return int(env) if env else DEFAULT_MAX_POINTS
+    if not env:
+        return DEFAULT_MAX_POINTS
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"DISTSET_MAX_POINTS must be an integer, got {env!r}") from None
 
 
 def _guard(n: int, max_points: Optional[int]) -> None:
@@ -59,14 +53,52 @@ def _guard(n: int, max_points: Optional[int]) -> None:
         raise GuardrailExceeded(n, bound)
 
 
-def _next_point(remaining: list[int], dist, placed: list[int]) -> int:
-    """Pick the next point to assign: most-constrained first.
+def _first_map(dx, dy, order: Sequence[int], targets) -> Optional[tuple[int, ...]]:
+    """First label-preserving injection of dx into dy, or None.
 
-    Points are keyed by the sorted multiset of distances to already-placed
-    points (descending length is constant here, so richer signatures come
-    from the ordering itself), ties broken by index.
+    Places the points of dx in order; point p tries the targets in
+    targets[p] in turn, skipping those already taken.
     """
-    return min(remaining, key=lambda p: (tuple(sorted(dist[p][q] for q in placed)), p))
+    image = [0] * len(order)
+    used = [False] * len(dy)
+
+    def place(depth: int) -> bool:
+        if depth == len(order):
+            return True
+        p = order[depth]
+        row_p = dx[p]
+        placed = order[:depth]
+        for q in targets[p]:
+            if used[q]:
+                continue
+            row_q = dy[q]
+            if all(row_q[image[t]] == row_p[t] for t in placed):
+                image[p] = q
+                used[q] = True
+                if place(depth + 1):
+                    return True
+                used[q] = False
+        return False
+
+    return tuple(image) if place(0) else None
+
+
+def _space_order(dist) -> list[int]:
+    """The points of a space, most constrained first (see the module doc)."""
+    order: list[int] = []
+    remaining = list(range(len(dist)))
+    while remaining:
+        p = min(remaining, key=lambda p: (sorted(dist[p][q] for q in order), p))
+        remaining.remove(p)
+        order.append(p)
+    return order
+
+
+def _adjacency(G: Graph) -> list[list[int]]:
+    adj = [[0] * G.n for _ in range(G.n)]
+    for a, b in G.edges:
+        adj[a][b] = adj[b][a] = 1
+    return adj
 
 
 def find_isometry(
@@ -76,36 +108,10 @@ def find_isometry(
     _guard(max(X.n, Y.n), max_points)
     if X.n != Y.n:
         return None
-    if distance_spectrum(X) != distance_spectrum(Y):
-        return None
     row = lambda space, i: tuple(sorted(space.dist[i]))
     if Counter(row(X, i) for i in range(X.n)) != Counter(row(Y, j) for j in range(Y.n)):
         return None
-
-    pm = PartialMap(X.n, Y.n)
-    used = [False] * Y.n
-    remaining = list(range(X.n))
-
-    def search() -> bool:
-        if pm.is_total():
-            return True
-        placed = list(pm.assignment)
-        p = _next_point(remaining, X.dist, placed)
-        remaining.remove(p)
-        for q in range(Y.n):
-            if used[q]:
-                continue
-            if all(Y.dist[q][pm.assignment[t]] == X.dist[p][t] for t in placed):
-                pm.add(p, q)
-                used[q] = True
-                if search():
-                    return True
-                used[q] = False
-                pm.remove(p)
-        remaining.append(p)
-        return False
-
-    return pm.as_tuple() if search() else None
+    return _first_map(X.dist, Y.dist, _space_order(X.dist), [range(Y.n)] * X.n)
 
 
 def find_embedding(
@@ -121,31 +127,7 @@ def find_embedding(
     cx, cy = pair_counts(X), pair_counts(Y)
     if any(cy[v] < k for v, k in cx.items()):
         return None
-
-    pm = PartialMap(X.n, Y.n)
-    used = [False] * Y.n
-    remaining = list(range(X.n))
-
-    def search() -> bool:
-        if pm.is_total():
-            return True
-        placed = list(pm.assignment)
-        p = _next_point(remaining, X.dist, placed)
-        remaining.remove(p)
-        for q in range(Y.n):
-            if used[q]:
-                continue
-            if all(Y.dist[q][pm.assignment[t]] == X.dist[p][t] for t in placed):
-                pm.add(p, q)
-                used[q] = True
-                if search():
-                    return True
-                used[q] = False
-                pm.remove(p)
-        remaining.append(p)
-        return False
-
-    return pm.as_tuple() if search() else None
+    return _first_map(X.dist, Y.dist, _space_order(X.dist), [range(Y.n)] * X.n)
 
 
 def graph_iso(G: Graph, H: Graph, *, max_points: Optional[int] = None) -> Optional[tuple[int, ...]]:
@@ -156,27 +138,8 @@ def graph_iso(G: Graph, H: Graph, *, max_points: Optional[int] = None) -> Option
     deg_G, deg_H = G.degrees(), H.degrees()
     if sorted(deg_G) != sorted(deg_H):
         return None
-
-    pm = PartialMap(G.n, H.n)
-    used = [False] * H.n
-
-    def search() -> bool:
-        if pm.is_total():
-            return True
-        p = len(pm.assignment)
-        for q in range(H.n):
-            if used[q] or deg_G[p] != deg_H[q]:
-                continue
-            if all(G.adjacent(p, t) == H.adjacent(q, pm.assignment[t]) for t in pm.assignment):
-                pm.add(p, q)
-                used[q] = True
-                if search():
-                    return True
-                used[q] = False
-                pm.remove(p)
-        return False
-
-    return pm.as_tuple() if search() else None
+    targets = [[q for q in range(H.n) if deg_H[q] == d] for d in deg_G]
+    return _first_map(_adjacency(G), _adjacency(H), range(G.n), targets)
 
 
 def graph_embed(G: Graph, H: Graph, *, max_points: Optional[int] = None) -> Optional[tuple[int, ...]]:
@@ -189,27 +152,8 @@ def graph_embed(G: Graph, H: Graph, *, max_points: Optional[int] = None) -> Opti
     if G.n > H.n or len(G.edges) > len(H.edges):
         return None
     deg_G, deg_H = G.degrees(), H.degrees()
-
-    pm = PartialMap(G.n, H.n)
-    used = [False] * H.n
-
-    def search() -> bool:
-        if pm.is_total():
-            return True
-        p = len(pm.assignment)
-        for q in range(H.n):
-            if used[q] or deg_H[q] < deg_G[p]:
-                continue
-            if all(G.adjacent(p, t) == H.adjacent(q, pm.assignment[t]) for t in pm.assignment):
-                pm.add(p, q)
-                used[q] = True
-                if search():
-                    return True
-                used[q] = False
-                pm.remove(p)
-        return False
-
-    return pm.as_tuple() if search() else None
+    targets = [[q for q in range(H.n) if deg_H[q] >= d] for d in deg_G]
+    return _first_map(_adjacency(G), _adjacency(H), range(G.n), targets)
 
 
 Relation = Callable[[object, object], Optional[tuple[int, ...]]]

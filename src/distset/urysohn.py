@@ -35,6 +35,7 @@ from .errors import BudgetTooSmall, FourValuesFails, InvariantViolation, Spectru
 from .metric import (
     FiniteMetricSpace,
     _check_metric,
+    _extends,
     _is_metric_triple,
     distance_spectrum,
     validate_metric,
@@ -89,12 +90,7 @@ class KatetovFunction:
 def is_valid_katetov(base: FiniteMetricSpace, values: tuple[Fraction, ...]) -> bool:
     if len(values) != base.n or any(v <= 0 for v in values):
         return False
-    for i in range(base.n):
-        for j in range(i + 1, base.n):
-            d = base.dist[i][j]
-            if not abs(values[i] - values[j]) <= d <= values[i] + values[j]:
-                return False
-    return True
+    return _extends(base.dist, range(base.n), values)
 
 
 def katetov_extensions(X: FiniteMetricSpace, A: Iterable[Fraction]) -> list[KatetovFunction]:
@@ -156,22 +152,12 @@ def _realized_patterns(dist, n: int, subset: tuple[int, ...]) -> set:
 def _first_unmet_demand(dist, n: int, positive, j_max: int, skipped: set):
     for j in range(1, j_max + 1):
         for subset in combinations(range(n), j):
-            base_ok = True
             realized = _realized_patterns(dist, n, subset)
             for g in product(positive, repeat=j):
                 if g in realized or (subset, g) in skipped:
                     continue
-                for a in range(j):
-                    for b in range(a + 1, j):
-                        d = dist[subset[a]][subset[b]]
-                        if not abs(g[a] - g[b]) <= d <= g[a] + g[b]:
-                            base_ok = False
-                            break
-                    if not base_ok:
-                        break
-                if base_ok:
+                if _extends(dist, subset, g):
                     return subset, g
-                base_ok = True
     return None
 
 

@@ -152,13 +152,19 @@ def test_construct_graph_space_and_back(capsys, tmp_path):
         ({"n": 2, "dist": [["0", True], [True, "0"]]}, "row 0 of 'dist' must be a list"),
         ({"n": 1, "dist": [[0.0]]}, "row 0 of 'dist' must be a list"),
         ({"n": 2, "dist": [["0", "1"], "10"]}, "row 1 of 'dist' must be a list"),
+        (TRI_112, "DISTSET_MAX_POINTS must be an integer, got 'abc'"),
     ],
 )
-def test_matrix_loader_rejects_malformed_files(capsys, tmp_path, payload, message):
+def test_matrix_loader_rejects_malformed_files(capsys, tmp_path, monkeypatch, payload, message):
+    # The oracle reads DISTSET_MAX_POINTS only once both files have loaded,
+    # so a malformed file is reported first; a well-formed one reaches the
+    # bad variable.
+    monkeypatch.setenv("DISTSET_MAX_POINTS", "abc")
     src = write_json(tmp_path / "bad.json", payload)
-    code, out, err = run(capsys, "construct", "space-to-graph", src, "--r", "1")
+    code, out, err = run(capsys, "oracle", "isometry", src, src)
     assert code == 2 and out == ""
-    assert err.startswith("error: matrix file: ") and message in err
+    prefix = "error: " if payload is TRI_112 else "error: matrix file: "
+    assert err.startswith(prefix) and message in err
 
 
 @pytest.mark.parametrize(

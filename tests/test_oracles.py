@@ -1,5 +1,6 @@
 """Backtracking oracles and the reduction certificate checker."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,33 @@ def test_guardrail_applies_to_graph_searches():
         graph_iso(G, G)
     with pytest.raises(GuardrailExceeded):
         graph_embed(G, G)
+
+
+def test_graph_oracles_agree_with_vf2():
+    # An outside reference: the graph and space oracles share one core, so
+    # acceptance criterion 02 alone would partly check the core against
+    # itself. networkx's GraphMatcher implements VF2 (Cordella et al., 2004);
+    # subgraph_is_isomorphic tests induced subgraphs, as graph_embed does.
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    graphs = []
+    for n in range(1, 5):
+        slots = list(itertools.combinations(range(n), 2))
+        for k in range(len(slots) + 1):
+            graphs.extend(Graph(n, frozenset(c)) for c in itertools.combinations(slots, k))
+    assert len(graphs) == 75
+
+    def to_nx(G):
+        g = nx.Graph()
+        g.add_nodes_from(range(G.n))
+        g.add_edges_from(G.edges)
+        return g
+
+    nxs = [to_nx(G) for G in graphs]
+    for (G, g), (H, h) in itertools.product(zip(graphs, nxs), repeat=2):
+        assert (graph_iso(G, H) is not None) == GraphMatcher(g, h).is_isomorphic()
+        assert (graph_embed(G, H) is not None) == GraphMatcher(h, g).subgraph_is_isomorphic()
 
 
 def test_verify_reduction_pass_certificate():

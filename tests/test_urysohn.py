@@ -82,6 +82,9 @@ def test_is_valid_katetov_negatives():
     assert not is_valid_katetov(pair, (F(1),))  # wrong arity
     assert not is_valid_katetov(pair, (F(0), F(1)))  # zero distance
     assert not is_valid_katetov(pair, (F(1), F(4)))  # |4-1| > 2
+    assert not is_valid_katetov(pair, (F(1), F(1, 2)))  # 1 + 1/2 < 2
+    assert is_valid_katetov(pair, (F(1), F(3)))  # |3-1| = 2, lower bound met
+    assert is_valid_katetov(pair, (F(1), F(1)))  # 1 + 1 = 2, upper bound met
     assert is_valid_katetov(pair, (F(1), F(2)))
 
 

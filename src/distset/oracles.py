@@ -57,30 +57,33 @@ def _first_map(dx, dy, order: Sequence[int], targets) -> Optional[tuple[int, ...
     """First label-preserving injection of dx into dy, or None.
 
     Places the points of dx in order; point p tries the targets in
-    targets[p] in turn, skipping those already taken.
+    targets[p] in turn, skipping those already taken. An iterator of untried
+    targets per depth stands in for recursion, so no recursion limit applies.
     """
     image = [0] * len(order)
     used = [False] * len(dy)
-
-    def place(depth: int) -> bool:
-        if depth == len(order):
-            return True
+    untried: list = []
+    depth = 0
+    while depth < len(order):
         p = order[depth]
+        if depth == len(untried):
+            untried.append(iter(targets[p]))
         row_p = dx[p]
         placed = order[:depth]
-        for q in targets[p]:
-            if used[q]:
-                continue
+        for q in untried[depth]:
             row_q = dy[q]
-            if all(row_q[image[t]] == row_p[t] for t in placed):
+            if not used[q] and all(row_q[image[t]] == row_p[t] for t in placed):
                 image[p] = q
                 used[q] = True
-                if place(depth + 1):
-                    return True
-                used[q] = False
-        return False
-
-    return tuple(image) if place(0) else None
+                depth += 1
+                break
+        else:
+            untried.pop()
+            if not untried:
+                return None
+            depth -= 1
+            used[image[order[depth]]] = False
+    return tuple(image)
 
 
 def _space_order(dist) -> list[int]:

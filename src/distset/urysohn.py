@@ -17,17 +17,21 @@ choice the stage makes, exactly as on the rationals. The homogeneity check
 replaces distances by their rank in the space's spectrum, a strictly
 monotone map, so the lex order of distance patterns is kept too.
 
-The class listing buckets candidate spaces by an isometry invariant: the
-sorted multiset of their sorted distance rows. Isometric spaces share it, so
-a candidate is tested with find_isometry only against the earlier classes in
-its own bucket.
+The class listing grows each size from the one before: deleting a point of
+an A-space leaves one, so it extends each representative on n - 1 points by
+every value tuple _extends accepts and keeps one space per canonical key, the
+least upper-triangle slot tuple (combinations order) over all n! relabelings.
+The keys are sorted because a lex-ordered product over all slot tuples (the
+test reference) meets each class first at exactly its key, in key order; so
+the representatives, their order, and the first missing space that
+verify_universality reports are the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import lcm
 from typing import Iterable, Optional
 
@@ -40,7 +44,7 @@ from .metric import (
     distance_spectrum,
     validate_metric,
 )
-from .oracles import find_embedding, find_isometry
+from .oracles import find_embedding
 
 ZERO = Fraction(0)
 
@@ -113,7 +117,6 @@ def extend_one_point(X: FiniteMetricSpace, g: KatetovFunction) -> FiniteMetricSp
         raise InvariantViolation(
             "extension values break the two-sided bounds |g(x)-g(y)| <= d(x,y) <= g(x)+g(y)"
         )
-    n = X.n + 1
     rows = [list(X.dist[i]) + [g.values[i]] for i in range(X.n)]
     rows.append(list(g.values) + [ZERO])
     return validate_metric(rows)
@@ -299,34 +302,37 @@ def urysohn_stage(
     return result
 
 
+def _canonical_key(dist) -> tuple:
+    """The least upper-triangle slot tuple of dist over all relabelings."""
+    slots = list(combinations(range(len(dist)), 2))
+    return min(
+        tuple(dist[p[i]][p[j]] for i, j in slots) for p in permutations(range(len(dist)))
+    )
+
+
 def enumerate_spaces_up_to_isometry(A: Iterable[Fraction], max_size: int) -> list[FiniteMetricSpace]:
     """All spaces with distances in A on at most max_size points, one per
     isometry class, smallest first."""
     codes = _codes(set(A))
     positive = sorted(c for c in codes.values() if c > 0)
-    reps: list[FiniteMetricSpace] = []
-    buckets: dict = {}
+    level: list = [[]]  # the empty space, whose one extension is the point
+    reps: list = []
     for n in range(1, max_size + 1):
-        slots = list(combinations(range(n), 2))
-        slot_of = {pair: s for s, pair in enumerate(slots)}
-        sides = [
-            (slot_of[i, j], slot_of[i, k], slot_of[j, k])
-            for i, j, k in combinations(range(n), 3)
-        ]
-        for choice in product(positive, repeat=len(slots)):
-            if not all(_is_metric_triple(choice[a], choice[b], choice[c]) for a, b, c in sides):
-                continue
+        keys = {
+            _canonical_key([row + [g[i]] for i, row in enumerate(dist)] + [[*g, 0]])
+            for dist in level
+            for g in product(positive, repeat=n - 1)
+            if _extends(dist, range(n - 1), g)
+        }
+        level = []
+        for key in sorted(keys):
             rows = [[0] * n for _ in range(n)]
-            for (i, j), v in zip(slots, choice):
-                rows[i][j] = v
-                rows[j][i] = v
-            space = FiniteMetricSpace(n, tuple(tuple(r) for r in rows))
-            bucket = buckets.setdefault(tuple(sorted(tuple(sorted(r)) for r in rows)), [])
-            if not any(find_isometry(space, cand, max_points=n) is not None for cand in bucket):
-                bucket.append(space)
-                reps.append(space)
+            for (i, j), v in zip(combinations(range(n), 2), key):
+                rows[i][j] = rows[j][i] = v
+            level.append(rows)
+        reps.extend(level)
     value_of = _decoder(codes)
-    return [_decode_space(X.dist, value_of) for X in reps]
+    return [_decode_space(dist, value_of) for dist in reps]
 
 
 def verify_universality(
@@ -358,7 +364,7 @@ def verify_one_point_homogeneity(
     d = [[rank[v] for v in row] for row in U.dist]
     for j in range(1, k + 1):
         groups: dict = {}
-        for tup in _ordered_tuples(U.n, j):
+        for tup in permutations(range(U.n), j):
             sig = tuple(d[tup[a]][tup[b]] for a in range(j) for b in range(a + 1, j))
             groups.setdefault(sig, []).append(tup)
         for members in groups.values():
@@ -375,18 +381,6 @@ def verify_one_point_homogeneity(
                     e = _point_realizing(d, U.n, other, pattern)
                     return False, (other, first, e)
     return True, None
-
-
-def _ordered_tuples(n: int, j: int):
-    def rec(prefix):
-        if len(prefix) == j:
-            yield tuple(prefix)
-            return
-        for p in range(n):
-            if p not in prefix:
-                yield from rec(prefix + [p])
-
-    yield from rec([])
 
 
 def _extension_patterns(d, n: int, tup: tuple[int, ...]) -> set:

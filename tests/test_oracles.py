@@ -153,6 +153,12 @@ def test_guardrail_applies_to_graph_searches():
         graph_embed(G, G)
 
 
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # one search level per placed point, far past the default recursion limit
+    G = Graph(1100, frozenset())
+    assert graph_iso(G, G, max_points=2000) == tuple(range(1100))
+
+
 def test_graph_oracles_agree_with_vf2():
     # An outside reference: the graph and space oracles share one core, so
     # acceptance criterion 02 alone would partly check the core against

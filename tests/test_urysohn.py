@@ -176,6 +176,26 @@ def test_enumerate_isometry_classes_small_counts():
     assert [X.n for X in reps] == [1, 2, 2, 3, 3, 3, 3]
 
 
+def test_class_counts_over_one_and_two_are_graph_counts():
+    # every 1/2 assignment is a metric, and the 1-pairs form a graph, so the
+    # classes on n points are the graphs on n vertices (OEIS A000088)
+    reps = enumerate_spaces_up_to_isometry(frs(0, 1, 2), 6)
+    assert [sum(X.n == n for X in reps) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+
+
+def test_class_listing_runs_no_isometry_search(monkeypatch):
+    import distset.oracles
+    import distset.urysohn
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the class listing ran find_isometry")
+
+    # patched where it is defined, and in urysohn in case it is imported there
+    monkeypatch.setattr(distset.oracles, "find_isometry", forbidden)
+    monkeypatch.setattr(distset.urysohn, "find_isometry", forbidden, raising=False)
+    assert len(enumerate_spaces_up_to_isometry(frs(0, 1, 2), 5)) == 1 + 2 + 4 + 11 + 34
+
+
 def test_stage_is_universal_for_small_spaces():
     result = urysohn_stage(frs(0, 1, 2), 40, 3, 2)
     ok, missing = verify_universality(result.space, frs(0, 1, 2), 3)

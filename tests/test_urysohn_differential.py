@@ -4,7 +4,9 @@ replaced (tests/urysohn_reference.py).
 Sixty seeded distance sets that pass the 4-values check, with 1-3 positive
 values over denominators 1, 2, 3 and 7, budgets 8 and 15 and bounds 1-3.
 Spaces, logs, saturation flags, class lists (order included) and the first
-universality and homogeneity witnesses must all be equal.
+universality and homogeneity witnesses must all be equal. Class lists are
+compared up to 5 points for sets with at most 2 positive values and up to 3
+for the rest (the reference is too slow beyond that), and on two dense sets.
 """
 
 import random
@@ -77,7 +79,18 @@ def test_stage_pipeline_matches_fraction_reference(case):
 @pytest.mark.parametrize("case", range(0, len(CASES), 6))
 def test_class_listing_matches_fraction_reference(case):
     values = CASES[case][0]
-    max_size = 4 if len(values) <= 3 else 3
+    max_size = 5 if len(values) <= 3 else 3
     got = enumerate_spaces_up_to_isometry(values, max_size)
     assert got == ref.enumerate_spaces_up_to_isometry(values, max_size)
     assert all(type(v) is Fraction for X in got for row in X.dist for v in row)
+
+
+@pytest.mark.parametrize(
+    "values, max_size", [((0, 1, 2), 5), ((0, 1, 2, 3), 4)], ids=["0-1-2_to_5", "0-1-2-3_to_4"]
+)
+def test_class_listing_matches_fraction_reference_on_dense_sets(values, max_size):
+    # the seeded sets admit few classes each; here every size has many, so
+    # the order of classes within a size is tested too
+    values = frozenset(Fraction(v) for v in values)
+    got = enumerate_spaces_up_to_isometry(values, max_size)
+    assert got == ref.enumerate_spaces_up_to_isometry(values, max_size)

@@ -254,6 +254,16 @@ def urysohn_exists(facts: SetFacts) -> str:
     return "undecided"
 
 
+_UNREALIZABLE_NULL_KEYS = (
+    "isometry_star",
+    "graph_iso_reduces",
+    "isom_equals_isom_star",
+    "embeddability_star",
+    "embeddability_star_bireducible_with_embeddability",
+    "urysohn_exists",
+)
+
+
 def build_report(desc: DistanceSetDesc) -> dict:
     """Full classification report for a described distance set.
 
@@ -269,32 +279,25 @@ def build_report(desc: DistanceSetDesc) -> dict:
         "facts": facts_to_json_dict(facts),
     }
 
-    if not realizable:
+    if realizable:
+        report["topology"] = classify_topology(facts)
+        for key, tag in _TOPOLOGY_TAGS:
+            citations[f"topology.{key}"] = [tag]
+    else:
         report["topology"] = None
-        if facts.zero_in_A:
-            va = classify_VA(facts)
-            report["v_A"] = {"class": va.name, "upper_bound": va.upper_bound}
-            citations["v_A"] = _va_tags(va)
-        else:
-            report["v_A"] = None
+
+    if facts.zero_in_A:
+        va = classify_VA(facts)
+        report["v_A"] = {"class": va.name, "upper_bound": va.upper_bound}
+        citations["v_A"] = _va_tags(va)
+    else:
+        report["v_A"] = None
+
+    if not realizable:
         report["v_A_star"] = "not_applicable"
-        report["isometry_star"] = None
-        report["graph_iso_reduces"] = None
-        report["isom_equals_isom_star"] = None
-        report["embeddability_star"] = None
-        report["embeddability_star_bireducible_with_embeddability"] = None
-        report["urysohn_exists"] = None
+        report.update(dict.fromkeys(_UNREALIZABLE_NULL_KEYS))
         report["citations"] = citations
         return report
-
-    topology = classify_topology(facts)
-    report["topology"] = topology
-    for key, tag in _TOPOLOGY_TAGS:
-        citations[f"topology.{key}"] = [tag]
-
-    va = classify_VA(facts)
-    report["v_A"] = {"class": va.name, "upper_bound": va.upper_bound}
-    citations["v_A"] = _va_tags(va)
 
     vastar = classify_VAstar(facts)
     report["v_A_star"] = {"class": vastar.name, "upper_bound": vastar.upper_bound}

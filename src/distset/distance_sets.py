@@ -6,11 +6,16 @@ geometric sequence running down to 0 or up to infinity, an interval [0, b] or
 the classifier (membership, countability, closedness, well-spacedness,
 accumulation structure) is computed in closed form from the components, so no
 verdict ever rests on sampling or approximation.
+
+Each kind is one row of the _KINDS table, which maps its wire name to its
+dataclass: DistanceSetDesc accepts only the table's classes, and the JSON
+reader and writer walk a kind's dataclass fields, so a new kind is one row
+plus its closed forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
 from typing import Union
@@ -103,6 +108,16 @@ class DenseRationals:
 
 Component = Union[FiniteSet, GeomDown, GeomUp, ClosedInterval, HalfOpenInterval, DenseRationals]
 
+_KINDS = {
+    "finite": FiniteSet,
+    "geomdown": GeomDown,
+    "geomup": GeomUp,
+    "closedinterval": ClosedInterval,
+    "halfopeninterval": HalfOpenInterval,
+    "denserationals": DenseRationals,
+}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+
 _DENSE_KINDS = (ClosedInterval, HalfOpenInterval, DenseRationals)
 _INTERVAL_KINDS = (ClosedInterval, HalfOpenInterval)
 
@@ -115,6 +130,9 @@ class DistanceSetDesc:
         if not self.components:
             raise InvalidDescription("description needs at least one component")
         object.__setattr__(self, "components", tuple(self.components))
+        for comp in self.components:
+            if type(comp) not in _KIND_OF:
+                raise UnsupportedDescription(type(comp).__name__)
 
 
 @dataclass(frozen=True)
@@ -189,36 +207,24 @@ def contains(desc: DistanceSetDesc, x: Fraction) -> bool:
 def _component_contains(comp: Component, x: Fraction) -> bool:
     if isinstance(comp, FiniteSet):
         return x in comp.values
-    if isinstance(comp, GeomDown) or isinstance(comp, GeomUp):
+    if isinstance(comp, (GeomDown, GeomUp)):
         return _power_index(x, comp.r0, comp.q) is not None
     if isinstance(comp, ClosedInterval):
         return 0 <= x <= comp.b
     if isinstance(comp, HalfOpenInterval):
         return 0 <= x < comp.b
-    if isinstance(comp, DenseRationals):
-        return comp.a <= x <= comp.b
-    raise UnsupportedDescription(type(comp).__name__)
+    return comp.a <= x <= comp.b
 
 
-def _component_contains_zero(comp: Component) -> bool:
-    if isinstance(comp, FiniteSet):
-        return ZERO in comp.values
-    if isinstance(comp, _INTERVAL_KINDS):
-        return True
-    if isinstance(comp, DenseRationals):
-        return comp.a == 0
-    return False
-
-
-def _accumulates_at_zero(comp: Component) -> bool:
-    """True when the component has positive elements arbitrarily close to 0."""
-    if isinstance(comp, GeomDown):
-        return True
-    if isinstance(comp, _INTERVAL_KINDS):
-        return True
-    if isinstance(comp, DenseRationals):
-        return comp.a == 0
-    return False
+def has_shrinking_witness(desc: DistanceSetDesc) -> bool:
+    """Whether a known injective, non-surjective distance-shrinking self-map
+    exists for this set: r |-> b*r/(1+r) works on any interval [0, b] or
+    [0, b) and on the rationals of [0, b]. These are exactly the components
+    dense near 0."""
+    return any(
+        isinstance(c, _INTERVAL_KINDS) or (isinstance(c, DenseRationals) and c.a == 0)
+        for c in desc.components
+    )
 
 
 def _component_sup(comp: Component) -> Fraction | None:
@@ -233,17 +239,13 @@ def _component_sup(comp: Component) -> Fraction | None:
 
 
 def _zero_facts(desc: DistanceSetDesc) -> tuple[bool, bool, bool]:
-    """(zero_in_A, zero_isolated, countable) of the described union, after
-    checking that every component is of a known kind."""
+    """(zero_in_A, zero_isolated, countable) of the described union. 0 is a
+    limit point exactly when some component is dense near 0 or runs down to 0;
+    only an interval makes the union uncountable."""
     comps = desc.components
-    for comp in comps:
-        if not isinstance(
-            comp, (FiniteSet, GeomDown, GeomUp, ClosedInterval, HalfOpenInterval, DenseRationals)
-        ):
-            raise UnsupportedDescription(type(comp).__name__)
     return (
-        any(_component_contains_zero(c) for c in comps),
-        not any(_accumulates_at_zero(c) for c in comps),
+        contains(desc, ZERO),
+        not (has_shrinking_witness(desc) or any(isinstance(c, GeomDown) for c in comps)),
         not any(isinstance(c, _INTERVAL_KINDS) for c in comps),
     )
 
@@ -393,16 +395,15 @@ def _well_spaced(desc: DistanceSetDesc) -> bool:
 # --- fact assembly -----------------------------------------------------------
 
 
-def _closed(desc: DistanceSetDesc, zero_in: bool) -> bool:
+def _closed(desc: DistanceSetDesc, zero_in: bool, big: Fraction | None) -> bool:
     """Closedness of the union: each component's closure must stay inside.
 
     Finite unions add no limit points beyond the per-component closures, so
     it is enough that every component's missing boundary is supplied by the
     union: 0 for a downward geometric sequence, b for [0, b), and the full
-    interval [a, b] for a dense rational block.
+    interval [a, b] for a dense rational block. big is the largest interval
+    endpoint, None without an interval.
     """
-    interval_sups = [c.b for c in desc.components if isinstance(c, _INTERVAL_KINDS)]
-    big = max(interval_sups) if interval_sups else None
     for comp in desc.components:
         if isinstance(comp, GeomDown) and not zero_in:
             return False
@@ -416,32 +417,11 @@ def _closed(desc: DistanceSetDesc, zero_in: bool) -> bool:
     return True
 
 
-def _interval_from_zero(desc: DistanceSetDesc, zero_in: bool) -> bool:
-    if not zero_in:
-        return False
-    if any(isinstance(c, GeomUp) for c in desc.components):
-        return False
-    interval_sups = [c.b for c in desc.components if isinstance(c, _INTERVAL_KINDS)]
-    if not interval_sups:
-        # Without an interval component the only interval we can be is {0}.
-        return all(
-            isinstance(c, FiniteSet) and c.values == (ZERO,) for c in desc.components
-        )
-    big = max(interval_sups)
-    return all(
-        _component_sup(c) is not None and _component_sup(c) <= big for c in desc.components
-    )
-
-
 def compute_facts(desc: DistanceSetDesc) -> SetFacts:
     """Closed-form structural facts of the described union."""
     zero_in, zero_isolated, countable = _zero_facts(desc)
     comps = desc.components
-    dense_near_zero = any(
-        isinstance(c, _INTERVAL_KINDS) or (isinstance(c, DenseRationals) and c.a == 0)
-        for c in comps
-    )
-    right_nbhd = any(isinstance(c, _INTERVAL_KINDS) for c in comps)
+    big = max((c.b for c in comps if isinstance(c, _INTERVAL_KINDS)), default=None)
     well_founded = all(isinstance(c, (FiniteSet, GeomUp)) for c in comps)
     if not well_founded:
         order_type: int | str | None = None
@@ -451,10 +431,7 @@ def compute_facts(desc: DistanceSetDesc) -> SetFacts:
         union = {v for c in comps if isinstance(c, FiniteSet) for v in c.values}
         order_type = len(union)
     sups = [_component_sup(c) for c in comps]
-    if any(s is None for s in sups):
-        has_max = False
-    else:
-        has_max = contains(desc, max(sups))
+    top = None if None in sups else max(sups)
     has_limit_other = any(isinstance(c, _DENSE_KINDS) for c in comps)
 
     if all(isinstance(c, FiniteSet) for c in comps):
@@ -469,27 +446,19 @@ def compute_facts(desc: DistanceSetDesc) -> SetFacts:
         zero_in_A=zero_in,
         zero_isolated=zero_isolated,
         countable=countable,
-        closed=_closed(desc, zero_in),
+        closed=_closed(desc, zero_in, big),
         well_spaced=_well_spaced(desc),
         well_founded=well_founded,
         order_type_if_wf=order_type,
-        has_max=has_max,
-        dense_near_zero=dense_near_zero,
-        contains_right_nbhd_of_zero=right_nbhd,
+        has_max=top is not None and contains(desc, top),
+        dense_near_zero=has_shrinking_witness(desc),
+        contains_right_nbhd_of_zero=not countable,
         has_limit_point_other_than_zero=has_limit_other,
         some_nonzero_limit_point_in_A=has_limit_other,
-        interval_from_zero=_interval_from_zero(desc, zero_in),
+        # An interval from 0 is {0} (every sup is 0) or the largest interval
+        # with nothing reaching past it; an unbounded set is neither.
+        interval_from_zero=zero_in and top is not None and top == (ZERO if big is None else big),
         four_values=four_values,
-    )
-
-
-def has_shrinking_witness(desc: DistanceSetDesc) -> bool:
-    """Whether a known injective, non-surjective distance-shrinking self-map
-    exists for this set: r |-> b*r/(1+r) works on any interval [0, b] or
-    [0, b) and on the rationals of [0, b]."""
-    return any(
-        isinstance(c, _INTERVAL_KINDS) or (isinstance(c, DenseRationals) and c.a == 0)
-        for c in desc.components
     )
 
 
@@ -550,18 +519,13 @@ def facts_consistent(facts: SetFacts) -> bool:
 
 # --- JSON wire format --------------------------------------------------------
 
-_KINDS = {
-    "finite": FiniteSet,
-    "geomdown": GeomDown,
-    "geomup": GeomUp,
-    "closedinterval": ClosedInterval,
-    "halfopeninterval": HalfOpenInterval,
-    "denserationals": DenseRationals,
-}
-
 
 def desc_from_json(data: object) -> DistanceSetDesc:
-    """Parse a description from a JSON list of tagged components."""
+    """Parse a description from a JSON list of tagged components.
+
+    Each field of a kind's dataclass is a "p/q" string, and "values" is a
+    list of them; numbers are rejected.
+    """
     if not isinstance(data, list):
         raise InvalidDescription("description file must be a JSON list of components")
     comps: list[Component] = []
@@ -569,63 +533,41 @@ def desc_from_json(data: object) -> DistanceSetDesc:
         if not isinstance(item, dict) or "kind" not in item:
             raise InvalidDescription("each component must be an object with a 'kind'")
         kind = item["kind"]
-        fields = {k: v for k, v in item.items() if k != "kind"}
+        cls = _KINDS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise InvalidDescription(f"unknown component kind {kind!r}")
+        raw = {k: v for k, v in item.items() if k != "kind"}
         try:
-            if kind == "finite":
-                comps.append(FiniteSet(tuple(parse_rational(v) for v in fields.pop("values"))))
-            elif kind in ("geomdown", "geomup"):
-                comps.append(
-                    _KINDS[kind](parse_rational(fields.pop("r0")), parse_rational(fields.pop("q")))
-                )
-            elif kind in ("closedinterval", "halfopeninterval"):
-                comps.append(_KINDS[kind](parse_rational(fields.pop("b"))))
-            elif kind == "denserationals":
-                comps.append(
-                    DenseRationals(parse_rational(fields.pop("a")), parse_rational(fields.pop("b")))
-                )
-            else:
-                raise InvalidDescription(f"unknown component kind {kind!r}")
+            args = []
+            for field in fields(cls):
+                value = raw.pop(field.name)
+                if field.name != "values":
+                    args.append(parse_rational(value))
+                elif isinstance(value, list):
+                    args.append(tuple(parse_rational(v) for v in value))
+                else:
+                    raise TypeError(f"expected a list of 'p/q' strings, got {value!r}")
+            comps.append(cls(*args))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidDescription(f"bad {kind!r} component: {exc}") from exc
-        if fields:
-            raise InvalidDescription(f"unexpected fields in {kind!r} component: {sorted(fields)}")
+        if raw:
+            raise InvalidDescription(f"unexpected fields in {kind!r} component: {sorted(raw)}")
     return DistanceSetDesc(tuple(comps))
 
 
+def _field_to_json(value: Fraction | tuple[Fraction, ...]) -> str | list[str]:
+    if isinstance(value, tuple):
+        return [format_rational(v) for v in value]
+    return format_rational(value)
+
+
 def desc_to_json(desc: DistanceSetDesc) -> list[dict]:
-    out = []
-    for comp in desc.components:
-        if isinstance(comp, FiniteSet):
-            out.append({"kind": "finite", "values": [format_rational(v) for v in comp.values]})
-        elif isinstance(comp, GeomDown):
-            out.append({"kind": "geomdown", "r0": format_rational(comp.r0), "q": format_rational(comp.q)})
-        elif isinstance(comp, GeomUp):
-            out.append({"kind": "geomup", "r0": format_rational(comp.r0), "q": format_rational(comp.q)})
-        elif isinstance(comp, ClosedInterval):
-            out.append({"kind": "closedinterval", "b": format_rational(comp.b)})
-        elif isinstance(comp, HalfOpenInterval):
-            out.append({"kind": "halfopeninterval", "b": format_rational(comp.b)})
-        elif isinstance(comp, DenseRationals):
-            out.append({"kind": "denserationals", "a": format_rational(comp.a), "b": format_rational(comp.b)})
-        else:
-            raise UnsupportedDescription(type(comp).__name__)
-    return out
+    return [
+        {"kind": _KIND_OF[type(c)]}
+        | {field.name: _field_to_json(getattr(c, field.name)) for field in fields(c)}
+        for c in desc.components
+    ]
 
 
 def facts_to_json_dict(facts: SetFacts) -> dict:
-    return {
-        "zero_in_A": facts.zero_in_A,
-        "zero_isolated": facts.zero_isolated,
-        "countable": facts.countable,
-        "closed": facts.closed,
-        "well_spaced": facts.well_spaced,
-        "well_founded": facts.well_founded,
-        "order_type_if_wf": facts.order_type_if_wf,
-        "has_max": facts.has_max,
-        "dense_near_zero": facts.dense_near_zero,
-        "contains_right_nbhd_of_zero": facts.contains_right_nbhd_of_zero,
-        "has_limit_point_other_than_zero": facts.has_limit_point_other_than_zero,
-        "some_nonzero_limit_point_in_A": facts.some_nonzero_limit_point_in_A,
-        "interval_from_zero": facts.interval_from_zero,
-        "four_values": facts.four_values,
-    }
+    return dict(vars(facts))

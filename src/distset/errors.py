@@ -47,7 +47,8 @@ class InvalidDescription(DistSetError):
 
 
 class UnsupportedDescription(DistSetError):
-    """A description component kind has no fact rule. Unreachable for the shipped kinds."""
+    """A description component is not of a known kind. Raised by
+    DistanceSetDesc, the only place that checks component types."""
 
 
 class NotRealizable(DistSetError):

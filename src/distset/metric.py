@@ -97,12 +97,6 @@ def _check_metric(d: Sequence[Sequence[int]]) -> None:
                 raise TriangleViolation(i, j, k)
 
 
-def _is_metric_triple(a, b, c) -> bool:
-    """Whether three distances can be the sides of a (possibly degenerate)
-    triangle."""
-    return a <= b + c and b <= a + c and c <= a + b
-
-
 def _extends(dist, points: Sequence[int], values: Sequence) -> bool:
     """Whether a new point at distance values[a] from points[a], for each a,
     keeps every triangle it closes: |v_a - v_b| <= d(p_a, p_b) <= v_a + v_b.

@@ -11,7 +11,10 @@ _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a bare integer string. Decimal and float forms are rejected."""
+    """Parse "p/q" or a bare integer string. Decimal and float forms, and
+    anything that is not a string (a JSON number, say), are rejected."""
+    if not isinstance(text, str):
+        raise TypeError(f"expected a 'p/q' string, got {text!r}")
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"malformed rational {text!r}; expected 'p' or 'p/q'")

@@ -40,7 +40,6 @@ from .metric import (
     FiniteMetricSpace,
     _check_metric,
     _extends,
-    _is_metric_triple,
     distance_spectrum,
     validate_metric,
 )
@@ -63,17 +62,13 @@ def four_values_check(values: Iterable[Fraction]) -> tuple[bool, Optional[tuple]
             for c in A:
                 for d in A:
                     x = next(
-                        (
-                            v
-                            for v in A
-                            if _is_metric_triple(a, b, v) and _is_metric_triple(c, d, v)
-                        ),
+                        (v for v in A if abs(a - b) <= v <= a + b and abs(c - d) <= v <= c + d),
                         None,
                     )
                     if x is None:
                         continue
                     if not any(
-                        _is_metric_triple(b, c, y) and _is_metric_triple(a, d, y) for y in A
+                        abs(b - c) <= y <= b + c and abs(a - d) <= y <= a + d for y in A
                     ):
                         return False, (a, b, c, d, x)
     return True, None

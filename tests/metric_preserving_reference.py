@@ -12,8 +12,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from distset.errors import PoolExhausted, ZeroNotInDomain
-from distset.metric import _is_metric_triple
 from distset.metric_preserving import TabulatedFunction, Triple
+
+
+def _is_metric_triple(a, b, c) -> bool:
+    """Whether three distances can be the sides of a (possibly degenerate)
+    triangle."""
+    return a <= b + c and b <= a + c and c <= a + b
 
 
 def is_metric_preserving_finite(f: TabulatedFunction) -> tuple[bool, Triple | None]:

@@ -7,6 +7,7 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distset.classifier import (
     COMPLEXITY_CLASSES,
@@ -23,6 +24,8 @@ from distset.classifier import (
     urysohn_exists,
 )
 from distset.distance_sets import (
+    ClosedInterval,
+    DenseRationals,
     DistanceSetDesc,
     FiniteSet,
     GeomDown,
@@ -335,6 +338,43 @@ def test_report_for_nonrealizable_set():
     assert report["graph_iso_reduces"] is None
     assert report["urysohn_exists"] is None
     assert report["citations"] == {"realizable": ["Thm 1.2"]}
+
+
+_POSITIVE = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+_COMPONENTS = st.one_of(
+    st.lists(st.one_of(st.just(F(0)), _POSITIVE), min_size=1, max_size=3).map(
+        lambda values: FiniteSet(tuple(values))
+    ),
+    st.builds(GeomDown, _POSITIVE, st.sampled_from((F(1, 2), F(1, 3), F(2, 3), F(4, 9)))),
+    st.builds(GeomUp, _POSITIVE, st.sampled_from((F(2), F(3), F(3, 2), F(9, 4)))),
+    st.builds(ClosedInterval, _POSITIVE),
+    st.builds(HalfOpenInterval, _POSITIVE),
+    st.builds(
+        lambda a, width: DenseRationals(a, a + width), st.one_of(st.just(F(0)), _POSITIVE), _POSITIVE
+    ),
+)
+
+
+def _scaled(comp, t):
+    """comp with every value, r0, a and b times t; each ratio q stays."""
+    changes = {}
+    for field in dataclasses.fields(comp):
+        value = getattr(comp, field.name)
+        if field.name == "values":
+            changes["values"] = tuple(v * t for v in value)
+        elif field.name != "q":
+            changes[field.name] = value * t
+    return dataclasses.replace(comp, **changes)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(comps=st.lists(_COMPONENTS, min_size=1, max_size=4), t=_POSITIVE, data=st.data())
+def test_report_is_invariant_under_scaling_and_reordering(comps, t, data):
+    # every fact is scale-free (well-spacing compares x with 2x, the 4-values
+    # condition is homogeneous) and none depends on the order of the union
+    report = build_report(D(*comps))
+    assert build_report(D(*data.draw(st.permutations(comps)))) == report
+    assert build_report(D(*(_scaled(c, t) for c in comps))) == report
 
 
 def test_render_text_lines():

@@ -70,6 +70,45 @@ def test_analyze_rejects_bad_description(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, payload, code, message",
+    [
+        (
+            ["analyze"],
+            [{"kind": "finite", "values": [0, 1]}],
+            1,
+            "bad 'finite' component: expected a 'p/q' string, got 0",
+        ),
+        (
+            ["analyze"],
+            [{"kind": "finite", "values": "12"}],
+            1,
+            "bad 'finite' component: expected a list of 'p/q' strings, got '12'",
+        ),
+        (["mpf", "check"], [[0, 0], [1, 1]], 2, "error: expected a 'p/q' string, got 0"),
+        (
+            ["mpf", "slope"],
+            {"a": 0, "b": "2", "tail": ["3"], "pool": ["5/4"]},
+            2,
+            "error: expected a 'p/q' string, got 0",
+        ),
+        (
+            ["construct", "tree-space"],
+            {"nodes": [[], [0]], "r_seq": ["1/4"], "rp_seq": ["9/8"], "x": 1},
+            2,
+            "error: expected a 'p/q' string, got 1",
+        ),
+    ],
+    ids=["analyze-number", "analyze-string-values", "mpf-check-number", "mpf-slope-number", "tree-space-number"],
+)
+def test_numbers_where_rationals_belong_are_rejected(capsys, tmp_path, argv, payload, code, message):
+    src = write_json(tmp_path / "in.json", payload)
+    args = [*argv, src] if argv[0] == "construct" else [*argv, "--input", src]
+    got, out, err = run(capsys, *args)
+    assert (got, out, err) == (code, "", message + "\n")
+    assert "Traceback" not in err
+
+
 def test_analyze_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", "--input", str(tmp_path / "nope.json"))
     assert code == 2

@@ -31,7 +31,7 @@ from distset.distance_sets import (
     has_shrinking_witness,
     is_distance_set,
 )
-from distset.errors import InvalidDescription
+from distset.errors import InvalidDescription, UnsupportedDescription
 
 F = Fraction
 
@@ -479,11 +479,20 @@ def test_desc_to_json_uses_canonical_strings():
         [{"kind": "geomdown", "r0": "1"}],
         [{"kind": "finite", "values": ["0.5"]}],
         [{"kind": "denserationals", "a": "2", "b": "1"}],
+        [{"kind": "finite", "values": "12"}],
+        [{"kind": "finite", "values": [0, 1]}],
     ],
 )
 def test_desc_from_json_rejects_bad_shapes(raw):
     with pytest.raises(InvalidDescription):
         desc_from_json(raw)
+
+
+def test_description_rejects_a_component_of_unknown_type():
+    with pytest.raises(UnsupportedDescription, match="object"):
+        DistanceSetDesc((object(),))
+    with pytest.raises(UnsupportedDescription):
+        DistanceSetDesc((FiniteSet((F(0),)), F(1)))
 
 
 def test_facts_to_json_dict_field_order():

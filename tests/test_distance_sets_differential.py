@@ -1,0 +1,211 @@
+"""Fact assembly and the JSON wire format against the per-kind code they
+replaced (tests/distance_sets_reference.py).
+
+A thousand seeded descriptions of one to four components, every kind, with
+and without 0, over a small pool of values so that components share
+endpoints: the facts, their JSON dict (key order included) and the JSON of
+the description must be equal. Two hundred seeded malformed JSON shapes must
+raise the same exception class with the same message. Two kinds of input
+that the old parser mishandled are tested on their own: a non-string where a
+"p/q" string belongs (it crashed with AttributeError) and a "values" field
+that is not a list (a string was read character by character).
+"""
+
+import copy
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+import distance_sets_reference as ref
+from distset.distance_sets import (
+    ClosedInterval,
+    DenseRationals,
+    DistanceSetDesc,
+    FiniteSet,
+    GeomDown,
+    GeomUp,
+    HalfOpenInterval,
+    compute_facts,
+    desc_from_json,
+    desc_to_json,
+    facts_realizable,
+    facts_to_json_dict,
+    is_distance_set,
+)
+from distset.errors import InvalidDescription
+
+F = Fraction
+DOWN_RATIOS = (F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(4, 9), F(1, 8))
+UP_RATIOS = (F(2), F(3), F(3, 2), F(4), F(9, 4), F(8))
+
+
+def _value(rng: random.Random) -> Fraction:
+    return F(rng.randint(1, 8), rng.choice((1, 2, 3)))
+
+
+def _component(rng: random.Random, kind: str):
+    if kind == "finite":
+        values = {_value(rng) for _ in range(rng.randint(1, 3))}
+        if rng.random() < 0.5:
+            values = {F(0)} if rng.random() < 0.2 else values | {F(0)}
+        return FiniteSet(tuple(values))
+    if kind == "geomdown":
+        return GeomDown(_value(rng), rng.choice(DOWN_RATIOS))
+    if kind == "geomup":
+        return GeomUp(_value(rng), rng.choice(UP_RATIOS))
+    if kind == "closedinterval":
+        return ClosedInterval(_value(rng))
+    if kind == "halfopeninterval":
+        return HalfOpenInterval(_value(rng))
+    a = F(0) if rng.random() < 0.5 else _value(rng)
+    return DenseRationals(a, a + _value(rng))
+
+
+KIND_NAMES = ("finite", "geomdown", "geomup", "closedinterval", "halfopeninterval", "denserationals")
+
+
+def _descriptions(count: int, seed: int = 20180920) -> list:
+    rng = random.Random(seed)
+    descs = []
+    while len(descs) < count:
+        kinds = [rng.choice(KIND_NAMES) for _ in range(rng.randint(1, 4))]
+        if kinds.count("finite") > 2:
+            continue  # keeps the all-finite 4-values checks small
+        descs.append(DistanceSetDesc(tuple(_component(rng, k) for k in kinds)))
+    return descs
+
+
+DESCS = _descriptions(1000)
+CHUNK = 50
+
+
+def test_descriptions_reach_both_values_of_every_fact():
+    facts = [facts_to_json_dict(ref.compute_facts(d)) for d in DESCS]
+    for key in facts[0]:
+        seen = {f[key] for f in facts}
+        if key == "order_type_if_wf":
+            assert {None, "omega", 1, 2, 3} <= seen
+        elif key == "four_values":
+            assert seen == {"true", "false", "undecided"}
+        else:
+            assert seen == {True, False}, key
+    assert {type(c) for d in DESCS for c in d.components} == {
+        FiniteSet, GeomDown, GeomUp, ClosedInterval, HalfOpenInterval, DenseRationals
+    }
+
+
+@pytest.mark.parametrize("chunk", range(len(DESCS) // CHUNK))
+def test_facts_and_json_match_reference(chunk):
+    for desc in DESCS[chunk * CHUNK : (chunk + 1) * CHUNK]:
+        facts = compute_facts(desc)
+        want = ref.compute_facts(desc)
+        assert facts == want, desc
+        assert list(facts_to_json_dict(facts).items()) == list(ref.facts_to_json_dict(want).items())
+        assert is_distance_set(desc) == facts_realizable(want)
+        data = desc_to_json(desc)
+        assert json.dumps(data) == json.dumps(ref.desc_to_json(desc))
+        assert desc_from_json(data) == ref.desc_from_json(data) == desc
+
+
+# --- malformed shapes --------------------------------------------------------
+
+BAD_RATIONALS = ("1.5", "", "1/0", "a", "0x1", "1e3", "-1", "0", "1", "2", " 3/2 ", "1/2/3")
+BAD_KINDS = ("mystery", "Finite", "", ["x"], {"kind": "finite"}, None, 7)
+
+
+def _valid_json(rng: random.Random) -> list:
+    return desc_to_json(DistanceSetDesc(tuple(
+        _component(rng, rng.choice(KIND_NAMES)) for _ in range(rng.randint(1, 2))
+    )))
+
+
+def _malformed(rng: random.Random) -> object:
+    data = _valid_json(rng)
+    item = rng.choice(data)
+    fields = [k for k in item if k != "kind"]
+    for _ in range(rng.randint(1, 2)):
+        edit = rng.choices(range(9), weights=(1, 1, 1, 2, 3, 2, 6, 2, 1))[0]
+        if edit == 0:
+            return rng.choice(({"kind": "finite", "values": ["0"]}, "finite", 5, None, item))
+        if edit == 1:
+            data[data.index(item)] = rng.choice(("finite", 3, None, [item]))
+            return data
+        if edit == 2:
+            item.pop("kind", None)
+        elif edit == 3:
+            item["kind"] = copy.deepcopy(rng.choice(BAD_KINDS))
+        elif edit == 4 and fields:
+            item.pop(rng.choice(fields), None)
+        elif edit == 5:
+            key = rng.choice([k for k in ("extra", "a", "b", "values", "zz") if k not in item])
+            value = rng.choice(BAD_RATIONALS)
+            item[key] = [value] if key == "values" else value
+        elif edit == 6 and fields:
+            field = rng.choice(fields)
+            if field == "values":
+                item["values"] = [rng.choice(BAD_RATIONALS) for _ in range(rng.randint(0, 2))]
+            else:
+                item[field] = rng.choice(BAD_RATIONALS)
+        elif edit == 7 and "kind" in item:
+            # a valid shape under another kind's name
+            item["kind"] = rng.choice(KIND_NAMES)
+        elif edit == 8:
+            data.append(rng.choice(data) if rng.random() < 0.5 else {})
+    return data
+
+
+def _outcome(parse, raw):
+    try:
+        return "ok", parse(raw)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc), str(exc)
+
+
+SHAPES = [_malformed(random.Random(seed)) for seed in range(200)]
+
+
+def test_malformed_shapes_reach_every_error():
+    outcomes = [_outcome(ref.desc_from_json, raw) for raw in SHAPES]
+    messages = [msg for cls, msg in outcomes if cls is InvalidDescription]
+    assert len(messages) >= 150
+    for start in (
+        "description file must be",
+        "each component must be",
+        "unknown component kind",
+        "unexpected fields in",
+        "bad 'finite' component:",
+        "bad 'geomdown' component:",
+        "bad 'denserationals' component:",
+        "closedinterval needs",
+        "geomup needs",
+        "finite component needs",
+    ):
+        assert any(msg.startswith(start) for msg in messages), start
+    assert any(cls == "ok" for cls, _ in outcomes)
+
+
+@pytest.mark.parametrize("seed", range(len(SHAPES)))
+def test_malformed_shape_raises_as_reference(seed):
+    raw = SHAPES[seed]
+    assert _outcome(desc_from_json, copy.deepcopy(raw)) == _outcome(ref.desc_from_json, raw)
+
+
+@pytest.mark.parametrize(
+    "item, got",
+    [
+        ({"kind": "finite", "values": [0, 1]}, "a 'p/q' string, got 0"),
+        ({"kind": "geomdown", "r0": 1, "q": "1/2"}, "a 'p/q' string, got 1"),
+        ({"kind": "closedinterval", "b": None}, "a 'p/q' string, got None"),
+        ({"kind": "denserationals", "a": "0", "b": [1]}, "a 'p/q' string, got [1]"),
+        ({"kind": "finite", "values": "12"}, "a list of 'p/q' strings, got '12'"),
+        ({"kind": "finite", "values": {"0": "1"}}, "a list of 'p/q' strings, got {'0': '1'}"),
+        ({"kind": "finite", "values": 5}, "a list of 'p/q' strings, got 5"),
+    ],
+    ids=["int-value", "int-r0", "null-b", "list-b", "string-values", "object-values", "number-values"],
+)
+def test_inputs_the_reference_mishandled_are_invalid_descriptions(item, got):
+    with pytest.raises(InvalidDescription) as info:
+        desc_from_json([item])
+    assert str(info.value) == f"bad {item['kind']!r} component: expected {got}"

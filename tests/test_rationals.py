@@ -30,6 +30,13 @@ def test_parse_rejects_non_rational_text(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize("bad", [0, 1, -2, 0.5, None, True, [1], {"p": 1}])
+def test_parse_rejects_non_strings(bad):
+    # JSON numbers and other non-strings are a TypeError, not an AttributeError
+    with pytest.raises(TypeError, match=r"^expected a 'p/q' string, got "):
+        parse_rational(bad)
+
+
 def test_parse_rejects_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1/0")

@@ -7,10 +7,13 @@ Spaces, logs, saturation flags, class lists (order included) and the first
 universality and homogeneity witnesses must all be equal. Class lists are
 compared up to 5 points for sets with at most 2 positive values and up to 3
 for the rest (the reference is too slow beyond that), and on two dense sets.
+The 4-values check is compared on its own over wider seeded sets, on
+Fractions and on the integer codes a stage passes it.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -94,3 +97,49 @@ def test_class_listing_matches_fraction_reference_on_dense_sets(values, max_size
     values = frozenset(Fraction(v) for v in values)
     got = enumerate_spaces_up_to_isometry(values, max_size)
     assert got == ref.enumerate_spaces_up_to_isometry(values, max_size)
+
+
+# sets whose first failure closes a degenerate triangle, x = |a - b| or
+# x = c + d: a strict bound there changes the witness, and random sets
+# rarely hit that
+DEGENERATE_WITNESS_SETS = (
+    ("2", "9/2", "9", "11"),
+    ("1/3", "1", "3", "6", "7"),
+    ("11/7", "9/2", "9", "10"),
+    ("1/3", "1/2", "2/3", "1", "9/7"),
+)
+
+
+def _four_values_sets(count: int, seed: int = 20180919) -> list:
+    rng = random.Random(seed)
+    sets = [frozenset(Fraction(v) for v in (0, *(3**i for i in range(k)))) for k in range(1, 6)]
+    sets += [frozenset(map(Fraction, values)) for values in DEGENERATE_WITNESS_SETS]
+    while len(sets) < count:
+        sets.append(
+            frozenset(
+                Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 7)))
+                for _ in range(rng.randint(1, 9))
+            )
+        )
+    return sets
+
+
+FOUR_VALUES_SETS = _four_values_sets(150)
+
+
+def test_four_values_sets_cover_both_verdicts():
+    verdicts = [ref.four_values_check(values)[0] for values in FOUR_VALUES_SETS]
+    assert 20 <= verdicts.count(True) and 20 <= verdicts.count(False)
+    assert {len(values) for values in FOUR_VALUES_SETS} >= set(range(1, 10))
+
+
+@pytest.mark.parametrize("case", range(len(FOUR_VALUES_SETS)))
+def test_four_values_check_matches_fraction_reference(case):
+    values = FOUR_VALUES_SETS[case]
+    assert four_values_check(values) == ref.four_values_check(values)
+    # a stage checks the int codes v * L, L the lcm of the denominators
+    scale = lcm(*(v.denominator for v in values))
+    codes = {int(v * scale) for v in values}
+    got = four_values_check(codes)
+    assert got == ref.four_values_check(codes)
+    assert all(type(v) is int for v in got[1] or ())

@@ -4,7 +4,9 @@ that the integer-coded kernels in distset.urysohn replaced.
 Kept unoptimized on purpose. tests/test_urysohn_differential.py runs both
 on the same inputs and requires equal spaces, logs, saturation flags, class
 lists and witnesses, so a change to a kernel cannot change what it finds or
-the order it finds it in.
+the order it finds it in. four_values_check is the loop over the triangle
+predicate _is_metric_triple that distset.urysohn now writes as two-sided
+bounds |a - b| <= x <= a + b.
 """
 
 from __future__ import annotations
@@ -16,9 +18,45 @@ from typing import Iterable, Optional
 from distset.errors import FourValuesFails
 from distset.metric import FiniteMetricSpace, validate_metric
 from distset.oracles import find_embedding, find_isometry
-from distset.urysohn import StageResult, four_values_check
+from distset.urysohn import StageResult
 
 ZERO = Fraction(0)
+
+
+def _is_metric_triple(a, b, c) -> bool:
+    """Whether three distances can be the sides of a (possibly degenerate)
+    triangle."""
+    return a <= b + c and b <= a + c and c <= a + b
+
+
+def four_values_check(values: Iterable[Fraction]) -> tuple[bool, Optional[tuple]]:
+    """Whether two triangles sharing a side can always be amalgamated.
+
+    For all a, b, c, d in A: if some x in A makes (a, b, x) and (c, d, x)
+    metric, some y in A must make (b, c, y) and (a, d, y) metric. Returns
+    (True, None) or (False, (a, b, c, d, x)) with the first failure in lex
+    order.
+    """
+    A = sorted(set(values))
+    for a in A:
+        for b in A:
+            for c in A:
+                for d in A:
+                    x = next(
+                        (
+                            v
+                            for v in A
+                            if _is_metric_triple(a, b, v) and _is_metric_triple(c, d, v)
+                        ),
+                        None,
+                    )
+                    if x is None:
+                        continue
+                    if not any(
+                        _is_metric_triple(b, c, y) and _is_metric_triple(a, d, y) for y in A
+                    ):
+                        return False, (a, b, c, d, x)
+    return True, None
 
 
 def _realized_patterns(dist, n, subset):

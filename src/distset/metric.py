@@ -71,9 +71,10 @@ def validate_metric(matrix: Sequence[Sequence[RationalLike]]) -> FiniteMetricSpa
     return FiniteMetricSpace(n, d)
 
 
-def _codes(d: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """The matrix scaled by the lcm of its denominators, as ints."""
-    scale = lcm(*{v.denominator for row in d for v in row})
+def _codes(d: Sequence[Sequence[Fraction]], scale: int = 0) -> list[list[int]]:
+    """The matrix scaled by the lcm of its denominators, as ints. A nonzero
+    scale, a multiple of every denominator, is used instead."""
+    scale = scale or lcm(*{v.denominator for row in d for v in row})
     return [[v.numerator * (scale // v.denominator) for v in row] for row in d]
 
 

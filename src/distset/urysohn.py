@@ -8,19 +8,31 @@ order, until either no demand is left at the requested levels or the size
 budget is hit. Determinism makes stages replayable and prefix-monotone in
 the budget.
 
-Stage growth, the class listing and the homogeneity check run on integer
-codes; Fractions appear only in their arguments and results. A stage
-multiplies A by L, the lcm of its denominators, so every code is an int.
-The triangle and Katětov inequalities are linear and homogeneous, so scaling
-by L > 0 keeps every comparison, and with it every sort order and every
-choice the stage makes, exactly as on the rationals. The homogeneity check
-replaces distances by their rank in the space's spectrum, a strictly
-monotone map, so the lex order of distance patterns is kept too.
+A stage keeps one unmet-demand frontier for its whole growth: for each
+subset the scan has reached, the points it has taken in so far and the value
+tuples g, in lex order, that _extends accepts over the subset and that no
+outside point realizes yet. Distances never change once a point is added, so
+the accepted tuples are fixed when the subset is first reached, and each scan
+only strikes out the patterns of the points added since the last one. A
+demand that could not be completed stays in its list: the final saturation
+scan reuses the frontier with no demand skipped.
+
+Stage growth, the class listing, universality and the homogeneity check run
+on integer codes; Fractions appear only in their arguments and results. A
+stage multiplies A by L, the lcm of its denominators, so every code is an
+int. The triangle and Katětov inequalities are linear and homogeneous, so
+scaling by L > 0 keeps every comparison, and with it every sort order and
+every choice the stage makes, exactly as on the rationals. The homogeneity
+check scales U by the lcm of its denominators, which keeps the lex order of
+distance patterns too. verify_universality scales A and the spectrum of U by
+one lcm (U may realize distances outside A) and runs every embedding search,
+through the public find_embedding, on those codes.
 
 The class listing grows each size from the one before: deleting a point of
 an A-space leaves one, so it extends each representative on n - 1 points by
 every value tuple _extends accepts and keeps one space per canonical key, the
-least upper-triangle slot tuple (combinations order) over all n! relabelings.
+least upper-triangle slot tuple (combinations order) over all n! relabelings,
+each read off the flattened matrix by one cached itemgetter.
 The keys are sorted because a lex-ordered product over all slot tuples (the
 test reference) meets each class first at exactly its key, in key order; so
 the representatives, their order, and the first missing space that
@@ -29,16 +41,20 @@ verify_universality reports are the same.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from functools import cache
+from itertools import chain, combinations, permutations, product, repeat
 from math import lcm
+from operator import add, itemgetter, sub
 from typing import Iterable, Optional
 
 from .errors import BudgetTooSmall, FourValuesFails, InvariantViolation, SpectrumNotInA
 from .metric import (
     FiniteMetricSpace,
     _check_metric,
+    _codes as _matrix_codes,
     _extends,
     distance_spectrum,
     validate_metric,
@@ -139,49 +155,62 @@ def _decode_space(dist, value_of: dict) -> FiniteMetricSpace:
     return FiniteMetricSpace(len(dist), tuple(tuple(value_of[c] for c in row) for row in dist))
 
 
-def _realized_patterns(dist, n: int, subset: tuple[int, ...]) -> set:
-    pats = set()
-    outside = [w for w in range(n) if w not in subset]
-    for w in outside:
-        pats.add(tuple(dist[w][s] for s in subset))
-    return pats
+def _first_unmet_demand(
+    dist, n: int, positive, j_max: int, skipped: set, frontier: dict, accepted: dict
+):
+    """The first (subset, g) in (size, subset, g) lex order that _extends
+    accepts, no point outside subset realizes and skipped does not hold.
 
-
-def _first_unmet_demand(dist, n: int, positive, j_max: int, skipped: set):
+    frontier[subset] is [points seen, dict of the unmet g in lex order]. What
+    _extends accepts over a subset depends only on the distances inside it,
+    so accepted keeps that list per (inner distances, size). The column
+    slices of the subset's rows give the patterns of the new points; a point
+    inside the subset has a 0 in its pattern, which no g has.
+    """
     for j in range(1, j_max + 1):
         for subset in combinations(range(n), j):
-            realized = _realized_patterns(dist, n, subset)
-            for g in product(positive, repeat=j):
-                if g in realized or (subset, g) in skipped:
-                    continue
-                if _extends(dist, subset, g):
+            entry = frontier.get(subset)
+            if entry is None:
+                inner = tuple(dist[a][b] for a, b in combinations(subset, 2)), j
+                if inner not in accepted:
+                    tuples = product(positive, repeat=j)
+                    accepted[inner] = [g for g in tuples if _extends(dist, subset, g)]
+                entry = frontier[subset] = [0, dict.fromkeys(accepted[inner])]
+            seen, unmet = entry
+            if seen < n and unmet:
+                for pattern in zip(*(dist[s][seen:n] for s in subset)):
+                    unmet.pop(pattern, None)
+                entry[0] = n
+            for g in unmet:
+                if (subset, g) not in skipped:
                     return subset, g
     return None
 
 
-def _add_point(dist, multiplicity: dict, new: list[int]) -> None:
+def _add_point(dist, multiplicity: Counter, new: list[int]) -> None:
     """Adjoin a point at distances new, counting the pair patterns it adds.
 
     multiplicity[(u, t, a, b)] counts the points w other than u < t with
     d(w, u) = a and d(w, t) = b. The new point p adds one pattern to every
-    old pair and creates the pairs (u, p); no other count changes.
+    old pair and creates the pairs (u, p); no other count changes. The keys
+    are zipped row by row and counted at C level.
     """
     p = len(dist)
-    for u, t in combinations(range(p), 2):
-        key = (u, t, new[u], new[t])
-        multiplicity[key] = multiplicity.get(key, 0) + 1
+    multiplicity.update(chain.from_iterable(
+        zip(repeat(u), range(u + 1, p), repeat(new[u]), new[u + 1 :]) for u in range(p)
+    ))
+    # d(w, u) is row u at w, d being symmetric; w runs over the old points but u
+    multiplicity.update(chain.from_iterable(
+        zip(repeat(u), repeat(p), dist[u][:u] + dist[u][u + 1 :], new[:u] + new[u + 1 :])
+        for u in range(p)
+    ))
     for i in range(p):
         dist[i].append(new[i])
     dist.append(new + [0])
-    for u in range(p):
-        for w in range(p):
-            if w != u:
-                key = (u, p, dist[w][u], new[w])
-                multiplicity[key] = multiplicity.get(key, 0) + 1
 
 
 def _complete_new_point(
-    dist, n: int, positive, multiplicity: dict, subset, g
+    dist, n: int, positive, multiplicity: Counter, subset, g
 ) -> Optional[list[int]]:
     """Distances of a new point realizing g over subset, or None.
 
@@ -193,6 +222,10 @@ def _complete_new_point(
     weights are kept exact as integers: scaled by lcm(1, ..., n), they are
     whole numbers, and scaling every sum by one positive factor keeps the
     ranking.
+
+    A value v for u closes a triangle with each placed t, so it is
+    consistent iff |d(u, t) - new[t]| <= v <= d(u, t) + new[t] for all of
+    them: one interval per free coordinate.
     """
     new = [None] * n
     for idx, s in enumerate(subset):
@@ -202,32 +235,29 @@ def _complete_new_point(
     scale = lcm(*range(1, n + 1))
     weight = [scale // (1 + m) for m in range(n)]
 
-    def consistent(u: int, val: int) -> bool:
-        for t in range(n):
-            if new[t] is None or t == u:
-                continue
-            if not abs(val - new[t]) <= dist[u][t] <= val + new[t]:
-                return False
-        return True
-
-    def coverage(u: int, val: int) -> int:
-        hits = 0
-        for t in range(n):
-            if new[t] is None or t == u:
-                continue
-            a, b = (u, t) if u < t else (t, u)
-            va, vb = (val, new[t]) if u < t else (new[t], val)
-            hits += weight[multiplicity.get((a, b, va, vb), 0)]
-        return hits
-
     def fill(pos: int) -> bool:
         if pos == len(free):
             return True
         u = free[pos]
-        ranked = sorted(
-            (v for v in positive if consistent(u, v)),
-            key=lambda v: (-coverage(u, v), v),
-        )
+        row = dist[u]
+        # the placed points: the subset and the free coordinates before u
+        below = free[:pos] + [s for s in subset if s < u]
+        above = [s for s in subset if s > u]
+        at_below = [new[t] for t in below]
+        at_above = [new[t] for t in above]
+        d_placed = [row[t] for t in below + above]
+        at_placed = at_below + at_above
+        lo = max(map(abs, map(sub, d_placed, at_placed)))
+        hi = min(map(add, d_placed, at_placed))
+
+        def coverage(v: int) -> int:
+            keys = chain(
+                zip(below, repeat(u), at_below, repeat(v)),
+                zip(repeat(u), above, repeat(v), at_above),
+            )
+            return sum(map(weight.__getitem__, map(multiplicity.get, keys, repeat(0))))
+
+        ranked = sorted((v for v in positive if lo <= v <= hi), key=lambda v: (-coverage(v), v))
         for v in ranked:
             new[u] = v
             if fill(pos + 1):
@@ -271,10 +301,12 @@ def urysohn_stage(
     n = 1
     log: list[list[int]] = []
     skipped: set = set()
-    multiplicity: dict = {}
+    multiplicity: Counter = Counter()
+    frontier: dict = {}
+    accepted: dict = {}
 
     while n < size_budget:
-        demand = _first_unmet_demand(dist, n, positive, j_max, skipped)
+        demand = _first_unmet_demand(dist, n, positive, j_max, skipped, frontier, accepted)
         if demand is None:
             break
         subset, g = demand
@@ -286,7 +318,7 @@ def urysohn_stage(
         n += 1
         log.append(new)
 
-    saturated = _first_unmet_demand(dist, n, positive, j_max, set()) is None
+    saturated = _first_unmet_demand(dist, n, positive, j_max, set(), frontier, accepted) is None
     _check_metric(dist)
     space = _decode_space(dist, value_of)
     result = StageResult(
@@ -297,12 +329,23 @@ def urysohn_stage(
     return result
 
 
+@cache
+def _relabelings(n: int) -> tuple:
+    """One getter per relabeling p of n >= 3 points, reading a flattened
+    n x n matrix at (p[i], p[j]) for each upper-triangle slot (i, j)."""
+    slots = list(combinations(range(n), 2))
+    return tuple(
+        itemgetter(*(p[i] * n + p[j] for i, j in slots)) for p in permutations(range(n))
+    )
+
+
 def _canonical_key(dist) -> tuple:
     """The least upper-triangle slot tuple of dist over all relabelings."""
-    slots = list(combinations(range(len(dist)), 2))
-    return min(
-        tuple(dist[p[i]][p[j]] for i, j in slots) for p in permutations(range(len(dist)))
-    )
+    n = len(dist)
+    if n <= 2:  # one slot at most: itemgetter would return a scalar
+        return tuple(dist[i][j] for i, j in combinations(range(n), 2))
+    flat = list(chain.from_iterable(dist))
+    return min(get(flat) for get in _relabelings(n))
 
 
 def enumerate_spaces_up_to_isometry(A: Iterable[Fraction], max_size: int) -> list[FiniteMetricSpace]:
@@ -337,9 +380,14 @@ def verify_universality(
 
     Returns (True, None) or (False, missing-space).
     """
+    values = {Fraction(v) for v in A}
+    # U may realize distances outside A: one scale codes both
+    scale = lcm(*{v.denominator for v in values}, *{v.denominator for row in U.dist for v in row})
+    coded_U = FiniteMetricSpace(U.n, _matrix_codes(U.dist, scale))
     cap = max(U.n, s)
-    for space in enumerate_spaces_up_to_isometry(A, s):
-        if find_embedding(space, U, max_points=cap) is None:
+    for space in enumerate_spaces_up_to_isometry(values, s):
+        coded = FiniteMetricSpace(space.n, _matrix_codes(space.dist, scale))
+        if find_embedding(coded, coded_U, max_points=cap) is None:
             return False, space
     return True, None
 
@@ -355,8 +403,7 @@ def verify_one_point_homogeneity(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    rank = {v: r for r, v in enumerate(distance_spectrum(U))}
-    d = [[rank[v] for v in row] for row in U.dist]
+    d = _matrix_codes(U.dist)
     for j in range(1, k + 1):
         groups: dict = {}
         for tup in permutations(range(U.n), j):
@@ -364,9 +411,9 @@ def verify_one_point_homogeneity(
             groups.setdefault(sig, []).append(tup)
         for members in groups.values():
             first = members[0]
-            base = _extension_patterns(d, U.n, first)
+            base = _extension_patterns(d, first)
             for other in members[1:]:
-                pats = _extension_patterns(d, U.n, other)
+                pats = _extension_patterns(d, other)
                 if pats == base:
                     continue
                 for pattern in sorted(base - pats):
@@ -378,10 +425,17 @@ def verify_one_point_homogeneity(
     return True, None
 
 
-def _extension_patterns(d, n: int, tup: tuple[int, ...]) -> set:
-    return {
-        tuple(d[e][t] for t in tup) for e in range(n) if e not in tup
-    }
+def _extension_patterns(d, tup: tuple[int, ...]) -> set:
+    """The distance patterns to tup of the points outside it.
+
+    Column e of the rows of tup is the pattern of e, d being symmetric. The
+    rows of tup's own points hold a 0, which no outside pattern does, so
+    taking them out removes no outside pattern.
+    """
+    rows = [d[t] for t in tup]
+    pats = set(zip(*rows))
+    pats.difference_update(zip(*([row[e] for e in tup] for row in rows)))
+    return pats
 
 
 def _point_realizing(d, n: int, tup: tuple[int, ...], pattern) -> int:

@@ -9,17 +9,32 @@ compared up to 5 points for sets with at most 2 positive values and up to 3
 for the rest (the reference is too slow beyond that), and on two dense sets.
 The 4-values check is compared on its own over wider seeded sets, on
 Fractions and on the integer codes a stage passes it.
+
+Stages too large for the Fraction pipeline (budgets up to 150, and twenty
+seeded sets at budgets 20-60) are replayed with the integer kernels that
+came before the unmet-demand frontier patched into urysohn_stage: the scan
+that rebuilds every subset's realized patterns, the per-key pair counts and
+the per-value completion. Demands are also refused on purpose, on both
+sides, since a completion never fails over a set that passes the 4-values
+check and the skip path would otherwise go untested. Canonical keys, the
+universality coding of a U with distances outside A, and the homogeneity
+patterns are compared with their references on their own.
 """
 
+import itertools
 import random
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 import pytest
 
+import distset.urysohn as urysohn
 import urysohn_reference as ref
-from distset.metric import subspace
+from distset.metric import FiniteMetricSpace, _codes, subspace, validate_metric
 from distset.urysohn import (
+    _canonical_key,
+    _extension_patterns,
     enumerate_spaces_up_to_isometry,
     four_values_check,
     urysohn_stage,
@@ -28,22 +43,32 @@ from distset.urysohn import (
 )
 
 
-def _cases(count: int, seed: int = 20180918) -> list:
+def _cases(count: int, seed: int = 20180918, budgets=lambda rng: rng.choice((8, 15))) -> list:
+    """count seeded (values, budget, embed bound, homog bound) whose values
+    pass the 4-values check; at most 100 * count draws, so a broken check
+    gives a short list (test_cases_are_the_pinned_draws) instead of a hang."""
     rng = random.Random(seed)
     cases = []
-    while len(cases) < count:
+    for _ in range(100 * count):
+        if len(cases) == count:
+            break
         size = rng.randint(1, 3)
         values = {Fraction(0)} | {
             Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 7))) for _ in range(size)
         }
         if not four_values_check(values)[0]:
             continue
-        budget = rng.choice((8, 15))
+        budget = budgets(rng)
         cases.append((frozenset(values), budget, rng.randint(1, 3), rng.randint(1, 3)))
     return cases
 
 
 CASES = _cases(60)
+
+
+def test_cases_are_the_pinned_draws():
+    assert len(CASES) == 60, f"only {len(CASES)} of 60 drawn sets pass the 4-values check"
+    assert CASES[0] == (frozenset({Fraction(0), Fraction(9, 2)}), 8, 1, 3)
 
 
 def test_cases_cover_the_stated_ranges():
@@ -143,3 +168,156 @@ def test_four_values_check_matches_fraction_reference(case):
     got = four_values_check(codes)
     assert got == ref.four_values_check(codes)
     assert all(type(v) is int for v in got[1] or ())
+
+
+# --- stages past the Fraction reference's reach --------------------------------
+
+LARGE_STAGES = [
+    ((0, 1, 2), 60, 4, 2),
+    ((0, 1, 2, 3), 150, 3, 2),
+    ((0, 1, 2), 40, 3, 3),
+    ((0, 1, 3, 7), 60, 3, 2),  # saturates at 27 points
+]
+LARGE_CASES = [
+    (frozenset(Fraction(v) for v in values), *rest) for values, *rest in LARGE_STAGES
+] + _cases(20, seed=20181018, budgets=lambda rng: rng.randint(20, 60))
+
+
+def _int_reference_stage(monkeypatch, values, budget, eb, hb, complete=ref.int_complete_new_point):
+    """urysohn_stage run on the integer kernels it had before the frontier."""
+
+    def rescan(dist, n, positive, j_max, skipped, *frontier):
+        return ref.int_first_unmet_demand(dist, n, positive, j_max, skipped)
+
+    with monkeypatch.context() as m:
+        m.setattr(urysohn, "_first_unmet_demand", rescan)
+        m.setattr(urysohn, "_add_point", ref.int_add_point)
+        m.setattr(urysohn, "_complete_new_point", complete)
+        return urysohn_stage(values, budget, eb, hb)
+
+
+@cache
+def _large_stage(case: int):
+    return urysohn_stage(*LARGE_CASES[case])
+
+
+def test_large_cases_cover_the_stated_ranges():
+    seeded = LARGE_CASES[len(LARGE_STAGES) :]
+    assert len(seeded) == 20
+    assert {budget for _, budget, _, _ in seeded} <= set(range(20, 61))
+    assert {eb for *_, eb, _ in seeded} == {hb for *_, hb in seeded} == {1, 2, 3}
+    assert _large_stage(3).space.n == 27 and _large_stage(3).saturated
+    assert _large_stage(1).space.n == 150 and not _large_stage(1).saturated
+
+
+@pytest.mark.parametrize("case", range(len(LARGE_CASES)))
+def test_frontier_stage_matches_int_reference(case, monkeypatch):
+    got = _large_stage(case)
+    want = _int_reference_stage(monkeypatch, *LARGE_CASES[case])
+    assert got.log == want.log
+    assert got.saturated == want.saturated
+    assert got.space == want.space
+
+
+def _refusing(complete, every: int):
+    """complete, but every every-th call fails, as if the demand could not
+    be met: the stage must skip it and still report it unmet at the end."""
+    calls = itertools.count(1)
+    return lambda *args: None if next(calls) % every == 0 else complete(*args)
+
+
+REFUSAL_CASES = [(case, every) for case in (2, 3, 10, 11) for every in (2, 3, 7)]
+
+
+@pytest.mark.parametrize("case, every", REFUSAL_CASES)
+def test_skipped_demands_match_int_reference(case, every, monkeypatch):
+    values, budget, eb, hb = LARGE_CASES[case]
+    with monkeypatch.context() as m:
+        m.setattr(urysohn, "_complete_new_point", _refusing(urysohn._complete_new_point, every))
+        got = urysohn_stage(values, budget, eb, hb)
+    want = _int_reference_stage(
+        monkeypatch, values, budget, eb, hb, _refusing(ref.int_complete_new_point, every)
+    )
+    assert (got.log, got.saturated, got.space) == (want.log, want.saturated, want.space)
+
+
+def test_a_refused_demand_leaves_a_stage_unsaturated(monkeypatch):
+    # {0, 1, 3, 7} saturates at 27 points when every demand is met; with
+    # refusals some skipped demand is never realized by a later point
+    values, budget, eb, hb = LARGE_CASES[3]
+    with monkeypatch.context() as m:
+        m.setattr(urysohn, "_complete_new_point", _refusing(urysohn._complete_new_point, 7))
+        result = urysohn_stage(values, budget, eb, hb)
+    assert result.space.n < budget and not result.saturated
+
+
+@pytest.mark.parametrize("case", range(len(LARGE_STAGES)))
+@pytest.mark.parametrize("k", (2, 3))
+def test_homogeneity_matches_reference_on_large_stages(case, k):
+    space = _large_stage(case).space
+    assert verify_one_point_homogeneity(space, k) == ref.verify_one_point_homogeneity(space, k)
+
+
+@pytest.mark.parametrize("case", range(len(LARGE_STAGES)))
+def test_extension_patterns_leave_out_the_tuples_own_points(case):
+    # pinned: the set holds only outside points' patterns, as the reference's
+    space = subspace(_large_stage(case).space, range(12))
+    d = _codes(space.dist)
+    for j in (1, 2, 3):
+        for tup in itertools.permutations(range(space.n), j):
+            assert _extension_patterns(d, tup) == ref._extension_patterns(d, space.n, tup)
+
+
+# --- canonical keys -------------------------------------------------------------
+
+
+def _int_matrices(count: int, seed: int = 20181019) -> list:
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = 1 + i % 6
+        top = rng.choice((2, 3, 5))  # few values, so relabelings tie often
+        rows = [[0] * n for _ in range(n)]
+        for a, b in itertools.combinations(range(n), 2):
+            rows[a][b] = rows[b][a] = rng.randint(1, top)
+        out.append(rows)
+    return out
+
+
+KEY_MATRICES = _int_matrices(120)
+
+
+@pytest.mark.parametrize("case", range(len(KEY_MATRICES)))
+def test_canonical_key_matches_brute_force(case):
+    dist = KEY_MATRICES[case]
+    assert _canonical_key(dist) == ref.int_canonical_key(dist)
+
+
+# --- universality on codes ------------------------------------------------------
+
+
+def test_universality_codes_distances_outside_a():
+    # 3/4 is not in A; scaled by A's lcm 6 alone it would code as 3, which
+    # is 1/2's code, and the missing two-point space at 1/2 would embed
+    A = frozenset(Fraction(v) for v in ("0", "1/3", "1/2"))
+    U = validate_metric([["0", "1/3", "3/4"], ["1/3", "0", "3/4"], ["3/4", "3/4", "0"]])
+    want = ref.verify_universality(U, A, 2)
+    assert want == (False, FiniteMetricSpace(2, ((0, Fraction(1, 2)), (Fraction(1, 2), 0))))
+    assert verify_universality(U, A, 2) == want
+
+
+UNIVERSALITY_CASES = [
+    (values, budget, s, drop)
+    for values, budget, _, s in CASES[:30]
+    if len(values) >= 3
+    for drop in (1, 2)
+]
+
+
+@pytest.mark.parametrize("case", range(len(UNIVERSALITY_CASES)))
+def test_universality_on_a_superset_stage_matches_reference(case):
+    # U is a stage over a superset of A, so it realizes distances outside A
+    values, budget, s, drop = UNIVERSALITY_CASES[case]
+    A = frozenset(sorted(values)[:drop]) | {max(values)}
+    U = urysohn_stage(values, budget, 3, 1).space
+    assert verify_universality(U, A, s) == ref.verify_universality(U, A, s)

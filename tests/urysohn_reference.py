@@ -7,16 +7,24 @@ lists and witnesses, so a change to a kernel cannot change what it finds or
 the order it finds it in. four_values_check is the loop over the triangle
 predicate _is_metric_triple that distset.urysohn now writes as two-sided
 bounds |a - b| <= x <= a + b.
+
+The integer section holds the int-coded stage kernels and the canonical key
+distset.urysohn used before its unmet-demand frontier, C-level pair counts,
+interval completion and itemgetter keys, verbatim: int_first_unmet_demand
+rebuilds every subset's realized patterns on every scan. They are patched
+into distset.urysohn.urysohn_stage to replay stages too large for the
+Fraction pipeline.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import lcm
 from typing import Iterable, Optional
 
 from distset.errors import FourValuesFails
-from distset.metric import FiniteMetricSpace, validate_metric
+from distset.metric import FiniteMetricSpace, _extends, validate_metric
 from distset.oracles import find_embedding, find_isometry
 from distset.urysohn import StageResult
 
@@ -245,3 +253,88 @@ def _point_realizing(d, n, tup, pattern):
         if e not in tup and tuple(d[e][t] for t in tup) == pattern:
             return e
     raise AssertionError("pattern was drawn from the extension set")
+
+
+# --- integer-coded kernels ---------------------------------------------------
+
+
+def int_first_unmet_demand(dist, n: int, positive, j_max: int, skipped: set):
+    for j in range(1, j_max + 1):
+        for subset in combinations(range(n), j):
+            realized = _realized_patterns(dist, n, subset)
+            for g in product(positive, repeat=j):
+                if g in realized or (subset, g) in skipped:
+                    continue
+                if _extends(dist, subset, g):
+                    return subset, g
+    return None
+
+
+def int_add_point(dist, multiplicity: dict, new: list[int]) -> None:
+    p = len(dist)
+    for u, t in combinations(range(p), 2):
+        key = (u, t, new[u], new[t])
+        multiplicity[key] = multiplicity.get(key, 0) + 1
+    for i in range(p):
+        dist[i].append(new[i])
+    dist.append(new + [0])
+    for u in range(p):
+        for w in range(p):
+            if w != u:
+                key = (u, p, dist[w][u], new[w])
+                multiplicity[key] = multiplicity.get(key, 0) + 1
+
+
+def int_complete_new_point(
+    dist, n: int, positive, multiplicity: dict, subset, g
+) -> Optional[list[int]]:
+    new = [None] * n
+    for idx, s in enumerate(subset):
+        new[s] = g[idx]
+    free = [u for u in range(n) if new[u] is None]
+
+    scale = lcm(*range(1, n + 1))
+    weight = [scale // (1 + m) for m in range(n)]
+
+    def consistent(u: int, val: int) -> bool:
+        for t in range(n):
+            if new[t] is None or t == u:
+                continue
+            if not abs(val - new[t]) <= dist[u][t] <= val + new[t]:
+                return False
+        return True
+
+    def coverage(u: int, val: int) -> int:
+        hits = 0
+        for t in range(n):
+            if new[t] is None or t == u:
+                continue
+            a, b = (u, t) if u < t else (t, u)
+            va, vb = (val, new[t]) if u < t else (new[t], val)
+            hits += weight[multiplicity.get((a, b, va, vb), 0)]
+        return hits
+
+    def fill(pos: int) -> bool:
+        if pos == len(free):
+            return True
+        u = free[pos]
+        ranked = sorted(
+            (v for v in positive if consistent(u, v)),
+            key=lambda v: (-coverage(u, v), v),
+        )
+        for v in ranked:
+            new[u] = v
+            if fill(pos + 1):
+                return True
+            new[u] = None
+        return False
+
+    return list(new) if fill(0) else None
+
+
+def int_canonical_key(dist) -> tuple:
+    """The least upper-triangle slot tuple of dist over all relabelings."""
+    slots = list(combinations(range(len(dist)), 2))
+    return min(
+        tuple(dist[p[i]][p[j]] for i, j in slots) for p in permutations(range(len(dist)))
+    )

@@ -3,10 +3,16 @@
 Every verdict is paired with citation tags (strings like "Thm 5.6(2)") that
 name the result backing the rule. Tags are data carried in reports, chosen
 once here so goldens can pin them byte for byte.
+
+build_report fills a report from one ordered table of (key, verdict, tags):
+_entry turns any verdict into its JSON entry and _TAGS holds the tags by
+report key and verdict name. render_report_text shows every value through
+one formatter, _show.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -16,7 +22,6 @@ from .distance_sets import (
     compute_facts,
     facts_realizable,
     facts_to_json_dict,
-    has_shrinking_witness,
 )
 from .errors import InvariantViolation, NotRealizable
 
@@ -113,10 +118,6 @@ def classify_VA(facts: SetFacts) -> ComplexityVerdict:
     return ComplexityVerdict("Pi11Complete")
 
 
-def _va_tags(verdict: ComplexityVerdict) -> list:
-    return ["Thm 4.2(2)"] if verdict.name == "Borel" else ["Thm 4.2(3)"]
-
-
 def classify_VAstar(facts: SetFacts) -> ComplexityVerdict:
     """Complexity of the class of spaces whose distance set is exactly A."""
     _require_realizable(facts)
@@ -134,16 +135,6 @@ def classify_VAstar(facts: SetFacts) -> ComplexityVerdict:
         return ComplexityVerdict("Pi11Hard", upper_bound="Pi12")
     return ComplexityVerdict("D2Sigma11Hard", upper_bound="Pi12")
 
-
-_VASTAR_TAGS = {
-    "Borel": ["Thm 4.5(1)"],
-    "Sigma11Complete": ["Thm 4.7(2)"],
-    "Pi11Complete": ["Thm 4.7(3)"],
-    "D2Sigma11Complete": ["Thm 4.7(4)"],
-    "Sigma11Hard": ["Thm 4.5(2)(a)", "Fact 4.1"],
-    "Pi11Hard": ["Thm 4.5(2)(b)", "Fact 4.1"],
-    "D2Sigma11Hard": ["Thm 4.5(2)(c)", "Fact 4.1"],
-}
 
 # Guards are evaluated independently so tests can confirm they partition
 # every internally consistent fact vector.
@@ -198,31 +189,12 @@ def classify_isometry(
     The witness flag records a registered injective non-surjective metric
     preserving self-map of A; facts alone cannot certify one.
     """
-    verdict, graph_iso_reduces, (equals, _) = _classify_isometry(facts, has_registered_witness)
-    return verdict, graph_iso_reduces, equals
-
-
-def _classify_isometry(facts: SetFacts, has_registered_witness: bool) -> tuple:
-    """classify_isometry's answers, with the equality verdict's tags."""
     _require_realizable(facts)
     kind = _isometry_kind(facts)
-    if kind == "BorelChain":
-        verdict = IsomVerdict("BorelChain", position=facts.order_type_if_wf)
-    else:
-        verdict = IsomVerdict(kind)
+    position = facts.order_type_if_wf if kind == "BorelChain" else None
     graph_iso_reduces = not facts.well_founded or not facts.well_spaced
-    return verdict, graph_iso_reduces, _isom_equals(facts, has_registered_witness)
-
-
-def _isometry_tags(verdict: IsomVerdict) -> list:
-    if verdict.kind == "BorelChain":
-        chain = "Thm 5.3(5)" if isinstance(verdict.position, int) else "Thm 5.3(4)"
-        return ["Thm 5.6(1)", chain]
-    return {
-        "GraphIsoBireducible": ["Thm 5.6(2)"],
-        "StrictlyAboveGraphIsoBelowOrbitComplete": ["Thm 5.6(3)"],
-        "OrbitComplete": ["Thm 5.6(4)"],
-    }[verdict.kind]
+    equals, _ = _isom_equals(facts, has_registered_witness)
+    return IsomVerdict(kind, position), graph_iso_reduces, equals
 
 
 def classify_embeddability(facts: SetFacts) -> EmbedVerdict:
@@ -232,12 +204,6 @@ def classify_embeddability(facts: SetFacts) -> EmbedVerdict:
     if facts.well_founded and facts.well_spaced:
         return EmbedVerdict("BorelChain", position=facts.order_type_if_wf)
     return EmbedVerdict("CompleteAnalyticQuasiOrder", invariantly_universal=True)
-
-
-def _embed_tags(verdict: EmbedVerdict) -> list:
-    if verdict.kind == "BorelChain":
-        return ["Thm 5.12(1)"]
-    return ["Thm 5.12(2)", "Thm 5.19"]
 
 
 def urysohn_exists(facts: SetFacts) -> str:
@@ -254,7 +220,51 @@ def urysohn_exists(facts: SetFacts) -> str:
     return "undecided"
 
 
-_UNREALIZABLE_NULL_KEYS = (
+# Citation tags of each verdict, by report key and verdict name. Only the
+# isometry chain's tags also depend on its position (see _tags).
+_TAGS = {
+    ("v_A", "Borel"): ("Thm 4.2(2)",),
+    ("v_A", "Pi11Complete"): ("Thm 4.2(3)",),
+    ("v_A_star", "Borel"): ("Thm 4.5(1)",),
+    ("v_A_star", "Sigma11Complete"): ("Thm 4.7(2)",),
+    ("v_A_star", "Pi11Complete"): ("Thm 4.7(3)",),
+    ("v_A_star", "D2Sigma11Complete"): ("Thm 4.7(4)",),
+    ("v_A_star", "Sigma11Hard"): ("Thm 4.5(2)(a)", "Fact 4.1"),
+    ("v_A_star", "Pi11Hard"): ("Thm 4.5(2)(b)", "Fact 4.1"),
+    ("v_A_star", "D2Sigma11Hard"): ("Thm 4.5(2)(c)", "Fact 4.1"),
+    ("isometry_star", "GraphIsoBireducible"): ("Thm 5.6(2)",),
+    ("isometry_star", "StrictlyAboveGraphIsoBelowOrbitComplete"): ("Thm 5.6(3)",),
+    ("isometry_star", "OrbitComplete"): ("Thm 5.6(4)",),
+    ("embeddability_star", "BorelChain"): ("Thm 5.12(1)",),
+    ("embeddability_star", "CompleteAnalyticQuasiOrder"): ("Thm 5.12(2)", "Thm 5.19"),
+}
+
+
+def _tags(key: str, verdict) -> list:
+    """A fresh list of the citation tags backing verdict under report key."""
+    if key == "isometry_star" and verdict.kind == "BorelChain":
+        chain = "Thm 5.3(5)" if isinstance(verdict.position, int) else "Thm 5.3(4)"
+        return ["Thm 5.6(1)", chain]
+    name = verdict.name if isinstance(verdict, ComplexityVerdict) else verdict.kind
+    return list(_TAGS[key, name])
+
+
+def _entry(verdict):
+    """A verdict's JSON entry: a complexity class with its upper bound, null
+    when there is none; a kind with only the fields its verdict sets; any
+    other value as it is."""
+    if isinstance(verdict, ComplexityVerdict):
+        return {"class": verdict.name, "upper_bound": verdict.upper_bound}
+    if isinstance(verdict, (IsomVerdict, EmbedVerdict)):
+        return {k: v for k, v in vars(verdict).items() if v is not None}
+    return verdict
+
+
+# The report's keys after "facts", in JSON order.
+_VERDICT_KEYS = (
+    "topology",
+    "v_A",
+    "v_A_star",
     "isometry_star",
     "graph_iso_reduces",
     "isom_equals_isom_star",
@@ -263,88 +273,77 @@ _UNREALIZABLE_NULL_KEYS = (
     "urysohn_exists",
 )
 
+# The text report's lines after the topology block, in order.
+_TEXT_KEYS = (
+    "v_A",
+    "v_A_star",
+    "isometry_star",
+    "embeddability_star",
+    "graph_iso_reduces",
+    "isom_equals_isom_star",
+    "embeddability_star_bireducible_with_embeddability",
+    "urysohn_exists",
+)
+
 
 def build_report(desc: DistanceSetDesc) -> dict:
     """Full classification report for a described distance set.
 
-    Non-realizable sets keep their facts and, when 0 belongs, the verdict
-    for the distances-within-A class; every exact-distance-set verdict is
-    null and the exact-set complexity reads not_applicable.
+    A realizable set's verdicts come from one table of (key, value, citation
+    tags) in report order. A non-realizable set lacks 0, since a described
+    set that holds 0 is countable or holds an interval from 0. It keeps its
+    facts; every verdict is null and the exact-set complexity reads
+    not_applicable.
     """
     facts = compute_facts(desc)
     realizable = facts_realizable(facts)
+    report: dict = {"realizable": realizable, "facts": facts_to_json_dict(facts)}
     citations: dict = {"realizable": ["Thm 1.2"]}
-    report: dict = {
-        "realizable": realizable,
-        "facts": facts_to_json_dict(facts),
-    }
-
-    if realizable:
-        report["topology"] = classify_topology(facts)
-        for key, tag in _TOPOLOGY_TAGS:
-            citations[f"topology.{key}"] = [tag]
-    else:
-        report["topology"] = None
-
-    if facts.zero_in_A:
-        va = classify_VA(facts)
-        report["v_A"] = {"class": va.name, "upper_bound": va.upper_bound}
-        citations["v_A"] = _va_tags(va)
-    else:
-        report["v_A"] = None
-
     if not realizable:
-        report["v_A_star"] = "not_applicable"
-        report.update(dict.fromkeys(_UNREALIZABLE_NULL_KEYS))
+        report.update(dict.fromkeys(_VERDICT_KEYS), v_A_star="not_applicable")
         report["citations"] = citations
         return report
 
-    vastar = classify_VAstar(facts)
-    report["v_A_star"] = {"class": vastar.name, "upper_bound": vastar.upper_bound}
-    citations["v_A_star"] = list(_VASTAR_TAGS[vastar.name])
-
-    witness = has_shrinking_witness(desc)
-    isom, graph_iso_reduces, (equals, equal_tags) = _classify_isometry(facts, witness)
-    if isom.kind == "BorelChain":
-        report["isometry_star"] = {"kind": isom.kind, "position": isom.position}
-    else:
-        report["isometry_star"] = {"kind": isom.kind}
-    citations["isometry_star"] = _isometry_tags(isom)
-
-    report["graph_iso_reduces"] = graph_iso_reduces
-    citations["graph_iso_reduces"] = ["Thm 5.5"]
-
-    report["isom_equals_isom_star"] = equals
-    citations["isom_equals_isom_star"] = equal_tags
-
-    embed = classify_embeddability(facts)
-    if embed.kind == "BorelChain":
-        report["embeddability_star"] = {"kind": embed.kind, "position": embed.position}
-    else:
-        report["embeddability_star"] = {
-            "kind": embed.kind,
-            "invariantly_universal": embed.invariantly_universal,
-        }
-    citations["embeddability_star"] = _embed_tags(embed)
-
-    report["embeddability_star_bireducible_with_embeddability"] = True
-    citations["embeddability_star_bireducible_with_embeddability"] = ["Cor 5.13"]
-
-    report["urysohn_exists"] = urysohn_exists(facts)
-    citations["urysohn_exists"] = ["Thm 4.9"]
-
+    report["topology"] = classify_topology(facts)
+    for key, tag in _TOPOLOGY_TAGS:
+        citations[f"topology.{key}"] = [tag]
+    # The registered witness is the shrinking map r |-> b*r/(1+r), which
+    # exists exactly when the set is dense near 0.
+    witness = facts.dense_near_zero
+    isom, graph_iso_reduces, _ = classify_isometry(facts, has_registered_witness=witness)
+    equals, equal_tags = _isom_equals(facts, witness)
+    # A row without tags takes them from _TAGS by its verdict's name.
+    for key, value, tags in (
+        ("v_A", classify_VA(facts), None),
+        ("v_A_star", classify_VAstar(facts), None),
+        ("isometry_star", isom, None),
+        ("graph_iso_reduces", graph_iso_reduces, ["Thm 5.5"]),
+        ("isom_equals_isom_star", equals, equal_tags),
+        ("embeddability_star", classify_embeddability(facts), None),
+        ("embeddability_star_bireducible_with_embeddability", True, ["Cor 5.13"]),
+        ("urysohn_exists", urysohn_exists(facts), ["Thm 4.9"]),
+    ):
+        report[key] = _entry(value)
+        citations[key] = tags or _tags(key, value)
     report["citations"] = citations
     return report
 
 
-def _fmt(value) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    return str(value)
+def _show(value) -> str:
+    """A report value as text: a class or kind followed by its qualifiers in
+    parentheses, JSON literals for booleans and null."""
+    if value is None or isinstance(value, bool):
+        return json.dumps(value)
+    if not isinstance(value, dict):
+        return str(value)
+    shown = value["class"] if "class" in value else value["kind"]
+    if value.get("upper_bound") is not None:
+        shown += f" (upper bound {value['upper_bound']})"
+    if "position" in value:
+        shown += f" (position {value['position']})"
+    if value.get("invariantly_universal"):
+        shown += " (invariantly universal)"
+    return shown
 
 
 def render_report_text(report: dict) -> str:
@@ -354,48 +353,17 @@ def render_report_text(report: dict) -> str:
     def tagged(label: str, value, cite_key: str) -> str:
         tags = cites.get(cite_key)
         suffix = f"  [{', '.join(tags)}]" if tags else ""
-        return f"{label}: {_fmt(value)}{suffix}"
+        return f"{label}: {_show(value)}{suffix}"
 
     lines = [tagged("realizable", report["realizable"], "realizable"), "facts:"]
     for key, value in sorted(report["facts"].items()):
-        lines.append(f"  {key}: {_fmt(value)}")
-
+        lines.append(f"  {key}: {_show(value)}")
     if report["topology"] is None:
         lines.append("topology: null")
     else:
         lines.append("topology:")
         for key, _ in _TOPOLOGY_TAGS:
-            lines.append(
-                "  " + tagged(key, report["topology"][key], f"topology.{key}")
-            )
-
-    for key in ("v_A", "v_A_star"):
-        value = report[key]
-        if isinstance(value, dict):
-            shown = value["class"]
-            if value["upper_bound"] is not None:
-                shown += f" (upper bound {value['upper_bound']})"
-        else:
-            shown = value
-        lines.append(tagged(key, shown, key))
-
-    for key in ("isometry_star", "embeddability_star"):
-        value = report[key]
-        if isinstance(value, dict):
-            shown = value["kind"]
-            if "position" in value:
-                shown += f" (position {value['position']})"
-            if value.get("invariantly_universal"):
-                shown += " (invariantly universal)"
-        else:
-            shown = value
-        lines.append(tagged(key, shown, key))
-
-    for key in (
-        "graph_iso_reduces",
-        "isom_equals_isom_star",
-        "embeddability_star_bireducible_with_embeddability",
-        "urysohn_exists",
-    ):
+            lines.append("  " + tagged(key, report["topology"][key], f"topology.{key}"))
+    for key in _TEXT_KEYS:
         lines.append(tagged(key, report[key], key))
     return "\n".join(lines) + "\n"

@@ -82,22 +82,24 @@ def _read_json(path: str):
         return json.load(handle)
 
 
-def _digest(paths) -> str:
+def _stamp(payload: dict, paths) -> dict:
+    """Add the report envelope: the tool version and the SHA-256 of the
+    input files' bytes, in order."""
     h = hashlib.sha256()
     for path in paths:
         with open(path, "rb") as handle:
             h.update(handle.read())
-    return h.hexdigest()
+    payload["tool_version"] = __version__
+    payload["input_digest"] = h.hexdigest()
+    return payload
 
 
 def _cmd_analyze(args) -> int:
     desc = desc_from_json(_read_json(args.input))
-    report = build_report(desc)
-    report["tool_version"] = __version__
-    report["input_digest"] = _digest([args.input])
+    report = _stamp(build_report(desc), [args.input])
     if args.format == "text":
         text = render_report_text(report)
-        text += f"tool_version: {__version__}\n"
+        text += f"tool_version: {report['tool_version']}\n"
         text += f"input_digest: {report['input_digest']}\n"
         _write(text, args.output)
     else:
@@ -164,10 +166,8 @@ def _cmd_oracle(args) -> int:
         "relation": args.relation,
         "found": witness is not None,
         "witness": list(witness) if witness is not None else None,
-        "tool_version": __version__,
-        "input_digest": _digest(args.files),
     }
-    _emit(payload, args.output)
+    _emit(_stamp(payload, args.files), args.output)
     return 0
 
 
@@ -187,9 +187,7 @@ def _cmd_reduce(args) -> int:
         return lambda u, v: search(u, v, max_points=args.max_points)
 
     payload = verify_reduction(pairs, wrap(search_in), wrap(search_out))
-    payload["tool_version"] = __version__
-    payload["input_digest"] = _digest([args.input])
-    _emit(payload, args.output)
+    _emit(_stamp(payload, [args.input]), args.output)
     return 0
 
 
@@ -223,10 +221,8 @@ def _cmd_urysohn(args) -> int:
                 "stuck_point": stuck[2],
             },
         },
-        "tool_version": __version__,
-        "input_digest": _digest([args.input]),
     }
-    _emit(payload, args.output)
+    _emit(_stamp(payload, [args.input]), args.output)
     return 0
 
 
@@ -250,9 +246,7 @@ def _cmd_mpf(args) -> int:
         }
     else:
         payload = {"sufficient": check_sufficient_condition(f)}
-    payload["tool_version"] = __version__
-    payload["input_digest"] = _digest([args.input])
-    _emit(payload, args.output)
+    _emit(_stamp(payload, [args.input]), args.output)
     return 0
 
 

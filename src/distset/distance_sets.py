@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Union
 
@@ -24,7 +25,6 @@ from .errors import InvalidDescription, UnsupportedDescription
 from .rationals import format_rational, parse_rational
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 TWO = Fraction(2)
 
 
@@ -371,25 +371,26 @@ def _geom_pair_has_violation(g1: tuple[Fraction, Fraction], g2: tuple[Fraction, 
 def _well_spaced(desc: DistanceSetDesc) -> bool:
     if any(isinstance(c, _DENSE_KINDS) for c in desc.components):
         return False
+    geoms = [
+        (c.r0, c.q) for c in desc.components if isinstance(c, (GeomDown, GeomUp))
+    ]
+    # Two consecutive terms of one sequence violate when its ratio lies in
+    # [1/2, 2]. Checked first, so that every walk below steps by a factor
+    # above 2 and takes about log2 of its span in steps.
+    if any(max(q, 1 / q) <= TWO for _, q in geoms):
+        return False
     finite_vals = sorted(
         {v for c in desc.components if isinstance(c, FiniteSet) for v in c.values if v > 0}
     )
     for x, y in zip(finite_vals, finite_vals[1:]):
         if y <= 2 * x:
             return False
-    geoms = [
-        (c.r0, c.q) for c in desc.components if isinstance(c, (GeomDown, GeomUp))
-    ]
     for v in finite_vals:
         for r0, q in geoms:
             for e in _geom_elements_in(r0, q, v / 2, 2 * v):
                 if e != v and (e < v <= 2 * e or v < e <= 2 * v):
                     return False
-    for i, g1 in enumerate(geoms):
-        for g2 in geoms[i:]:
-            if _geom_pair_has_violation(g1, g2):
-                return False
-    return True
+    return not any(_geom_pair_has_violation(g1, g2) for g1, g2 in combinations(geoms, 2))
 
 
 # --- fact assembly -----------------------------------------------------------

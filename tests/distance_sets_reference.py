@@ -7,6 +7,10 @@ descriptions and JSON shapes and requires equal facts, equal JSON (key order
 included) and the same exception class and message. The helpers that did
 not change are imported from distset.distance_sets, and compute_facts
 imports four_values_check by its absolute name; the rest is unchanged.
+
+_well_spaced is kept as it was before it checked each geometric ratio
+first: it walks every finite value against every geometric component
+before it looks at any ratio, which takes 28.6 s at q = 9999/10000.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from distset.distance_sets import (
     HalfOpenInterval,
     SetFacts,
     _component_sup,
-    _well_spaced,
+    _geom_elements_in,
+    _geom_pair_has_violation,
     contains,
 )
 from distset.errors import InvalidDescription, UnsupportedDescription
@@ -69,6 +74,29 @@ def _zero_facts(desc: DistanceSetDesc) -> tuple[bool, bool, bool]:
         not any(isinstance(c, _INTERVAL_KINDS) for c in comps),
     )
 
+
+def _well_spaced(desc: DistanceSetDesc) -> bool:
+    if any(isinstance(c, _DENSE_KINDS) for c in desc.components):
+        return False
+    finite_vals = sorted(
+        {v for c in desc.components if isinstance(c, FiniteSet) for v in c.values if v > 0}
+    )
+    for x, y in zip(finite_vals, finite_vals[1:]):
+        if y <= 2 * x:
+            return False
+    geoms = [
+        (c.r0, c.q) for c in desc.components if isinstance(c, (GeomDown, GeomUp))
+    ]
+    for v in finite_vals:
+        for r0, q in geoms:
+            for e in _geom_elements_in(r0, q, v / 2, 2 * v):
+                if e != v and (e < v <= 2 * e or v < e <= 2 * v):
+                    return False
+    for i, g1 in enumerate(geoms):
+        for g2 in geoms[i:]:
+            if _geom_pair_has_violation(g1, g2):
+                return False
+    return True
 
 def _closed(desc: DistanceSetDesc, zero_in: bool) -> bool:
     """Closedness of the union: each component's closure must stay inside.

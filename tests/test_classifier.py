@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import classifier_reference as cref
 from distset.classifier import (
     COMPLEXITY_CLASSES,
     ISOMETRY_GUARDS,
@@ -36,10 +37,12 @@ from distset.distance_sets import (
     desc_from_json,
     facts_consistent,
 )
+from distset.cli import _jsonable
 from distset.errors import NotRealizable
 
 F = Fraction
 DATA = pathlib.Path(__file__).parent / "data"
+SHIPPED = sorted(path.stem for path in (DATA / "descs").glob("*.json"))
 
 
 def load_desc(name):
@@ -411,3 +414,26 @@ def test_render_text_nonrealizable():
 def test_render_is_stable():
     report = build_report(load_desc("geomdown-half"))
     assert render_report_text(report) == render_report_text(report)
+
+
+def test_seven_descriptions_are_shipped():
+    assert len(SHIPPED) == 7
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_report_and_text_match_reference(name):
+    report, want = build_report(load_desc(name)), cref.build_report(load_desc(name))
+    assert json.dumps(_jsonable(report)) == json.dumps(_jsonable(want))
+    assert render_report_text(report) == cref.render_report_text(want)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_reports_never_share_a_citations_list(name):
+    first, second = build_report(load_desc(name)), build_report(load_desc(name))
+    other = build_report(load_desc("finite-0-1-3-9"))
+    for key, tags in first["citations"].items():
+        assert isinstance(tags, list), key
+        assert tags is not second["citations"][key], key
+        assert all(tags is not shared for shared in other["citations"].values()), key
+        tags.append("edited")
+    assert build_report(load_desc(name)) == second

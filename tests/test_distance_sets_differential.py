@@ -4,7 +4,9 @@ replaced (tests/distance_sets_reference.py).
 A thousand seeded descriptions of one to four components, every kind, with
 and without 0, over a small pool of values so that components share
 endpoints: the facts, their JSON dict (key order included) and the JSON of
-the description must be equal. Two hundred seeded malformed JSON shapes must
+the description must be equal, and so must the classification report (as
+JSON, key order included) and its text against
+tests/classifier_reference.py. Two hundred seeded malformed JSON shapes must
 raise the same exception class with the same message. Two kinds of input
 that the old parser mishandled are tested on their own: a non-string where a
 "p/q" string belongs (it crashed with AttributeError) and a "values" field
@@ -14,11 +16,15 @@ that is not a list (a string was read character by character).
 import copy
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+import classifier_reference as cref
 import distance_sets_reference as ref
+from distset.classifier import build_report, render_report_text
+from distset.cli import _jsonable
 from distset.distance_sets import (
     ClosedInterval,
     DenseRationals,
@@ -27,6 +33,7 @@ from distset.distance_sets import (
     GeomDown,
     GeomUp,
     HalfOpenInterval,
+    _well_spaced,
     compute_facts,
     desc_from_json,
     desc_to_json,
@@ -107,6 +114,33 @@ def test_facts_and_json_match_reference(chunk):
         data = desc_to_json(desc)
         assert json.dumps(data) == json.dumps(ref.desc_to_json(desc))
         assert desc_from_json(data) == ref.desc_from_json(data) == desc
+        report, want_report = build_report(desc), cref.build_report(desc)
+        assert json.dumps(_jsonable(report)) == json.dumps(_jsonable(want_report)), desc
+        assert render_report_text(report) == cref.render_report_text(want_report), desc
+        # build_report relies on this: no non-realizable set holds 0
+        assert facts.zero_in_A == facts_realizable(facts), desc
+
+
+# A ratio near 1 must be answered from the ratio alone: walking the finite
+# values against the sequence first takes about 62,000 Fraction steps at
+# q = 9999/10000, and the reference takes 28.6 s there.
+NEAR_ONE = [F(1) - F(1, 10**k) for k in range(2, 6)] + [F(1) + F(1, 10**k) for k in range(2, 6)]
+
+
+def _near_one(q: Fraction) -> DistanceSetDesc:
+    if q < 1:
+        return DistanceSetDesc((FiniteSet((F(0), F(1, 1000))), GeomDown(F(1), q)))
+    return DistanceSetDesc((FiniteSet((F(0), F(1000))), GeomUp(F(1), q)))
+
+
+@pytest.mark.parametrize("q", NEAR_ONE, ids=str)
+def test_well_spaced_answers_at_once_for_a_ratio_near_one(q):
+    desc = _near_one(q)
+    start = time.perf_counter()
+    assert _well_spaced(desc) is False
+    assert time.perf_counter() - start < 0.5
+    if abs(q - 1) >= F(1, 1000):  # the reference takes up to 0.2 s here
+        assert ref._well_spaced(desc) is False
 
 
 # --- malformed shapes --------------------------------------------------------

@@ -54,6 +54,35 @@ _ORACLES = {
 }
 
 
+def _tree_from_json(raw) -> TreeData:
+    if not isinstance(raw, dict) or set(raw) != {"nodes", "r_seq", "rp_seq", "x"}:
+        raise ValueError("tree file: expected an object with the keys nodes, r_seq, rp_seq, x")
+    if not all(isinstance(raw[key], list) for key in ("nodes", "r_seq", "rp_seq")):
+        raise ValueError("tree file: 'nodes', 'r_seq' and 'rp_seq' must be lists")
+    for node in raw["nodes"]:
+        if not isinstance(node, list) or not all(type(i) is int for i in node):
+            raise ValueError(f"tree file: bad node entry {node!r}")
+    return TreeData(
+        nodes=tuple(map(tuple, raw["nodes"])),
+        r_seq=tuple(parse_rational(v) for v in raw["r_seq"]),
+        rp_seq=tuple(parse_rational(v) for v in raw["rp_seq"]),
+        x=parse_rational(raw["x"]),
+    )
+
+
+# name: (build, writer, rational flags, one loader per input file); build takes
+# the loaded inputs, then the flags' values
+_CONSTRUCTIONS = {
+    "glue": (glue, space_to_json_dict, ("r",), space_from_json_dict, space_from_json_dict),
+    "max-product": (
+        max_product, space_to_json_dict, (), space_from_json_dict, space_from_json_dict
+    ),
+    "tree-space": (tree_space, space_to_json_dict, (), _tree_from_json),
+    "graph-space": (graph_space, space_to_json_dict, ("r", "rp"), graph_from_json_dict),
+    "space-to-graph": (space_to_graph, graph_to_json_dict, ("r",), space_from_json_dict),
+}
+
+
 def _jsonable(value):
     if isinstance(value, Fraction):
         return format_rational(value)
@@ -108,52 +137,20 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    name = args.name
+    build, write, flags, *loaders = _CONSTRUCTIONS[args.name]
     files = args.inputs
-
-    def need(count: int) -> None:
-        if len(files) != count:
-            raise ValueError(f"construct {name} takes {count} input file(s), got {len(files)}")
-
-    def need_flag(value, flag: str):
-        if value is None:
-            raise ValueError(f"construct {name} requires {flag}")
-        return parse_rational(value)
-
-    if name == "glue":
-        need(2)
-        r = need_flag(args.r, "--r")
-        X = space_from_json_dict(_read_json(files[0]))
-        Y = space_from_json_dict(_read_json(files[1]))
-        _emit(space_to_json_dict(glue(X, Y, r)), args.output)
-    elif name == "max-product":
-        need(2)
-        X = space_from_json_dict(_read_json(files[0]))
-        Z = space_from_json_dict(_read_json(files[1]))
-        _emit(space_to_json_dict(max_product(X, Z)), args.output)
-    elif name == "tree-space":
-        need(1)
-        raw = _read_json(files[0])
-        data = TreeData(
-            nodes=tuple(tuple(int(i) for i in node) for node in raw["nodes"]),
-            r_seq=tuple(parse_rational(v) for v in raw["r_seq"]),
-            rp_seq=tuple(parse_rational(v) for v in raw["rp_seq"]),
-            x=parse_rational(raw["x"]),
+    if len(files) != len(loaders):
+        raise ValueError(
+            f"construct {args.name} takes {len(loaders)} input file(s), got {len(files)}"
         )
-        _emit(space_to_json_dict(tree_space(data)), args.output)
-    elif name == "graph-space":
-        need(1)
-        r = need_flag(args.r, "--r")
-        rp = need_flag(args.rp, "--rp")
-        G = graph_from_json_dict(_read_json(files[0]))
-        _emit(space_to_json_dict(graph_space(G, r, rp)), args.output)
-    elif name == "space-to-graph":
-        need(1)
-        r = need_flag(args.r, "--r")
-        X = space_from_json_dict(_read_json(files[0]))
-        _emit(graph_to_json_dict(space_to_graph(X, r)), args.output)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown construction {name}")
+    rationals = []
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is None:
+            raise ValueError(f"construct {args.name} requires --{flag}")
+        rationals.append(parse_rational(value))
+    inputs = [load(_read_json(path)) for load, path in zip(loaders, files)]
+    _emit(write(build(*inputs, *rationals)), args.output)
     return 0
 
 
@@ -229,6 +226,10 @@ def _cmd_urysohn(args) -> int:
 def _cmd_mpf(args) -> int:
     raw = _read_json(args.input)
     if args.action == "slope":
+        if not isinstance(raw, dict) or set(raw) != {"a", "b", "tail", "pool"}:
+            raise ValueError("slope file: expected an object with the keys a, b, tail, pool")
+        if not isinstance(raw["tail"], list) or not isinstance(raw["pool"], list):
+            raise ValueError("slope file: 'tail' and 'pool' must be lists")
         f = slope_construction(
             parse_rational(raw["a"]),
             parse_rational(raw["b"]),
@@ -267,10 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_analyze)
 
     p = sub.add_parser("construct", help="build a space or graph from inputs")
-    p.add_argument(
-        "name",
-        choices=("glue", "max-product", "tree-space", "graph-space", "space-to-graph"),
-    )
+    p.add_argument("name", choices=tuple(_CONSTRUCTIONS))
     p.add_argument("inputs", nargs="*")
     p.add_argument("--r")
     p.add_argument("--rp")

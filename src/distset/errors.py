@@ -99,7 +99,9 @@ class SpectrumNotInA(DistSetError):
 
 
 class InvariantViolation(DistSetError):
-    """A one-point extension does not satisfy the two-sided distance bounds."""
+    """A one-point extension does not satisfy the two-sided distance bounds,
+    or a stage demand has no completion over A, which the 4-values condition
+    rules out."""
 
 
 class FourValuesFails(DistSetError):

@@ -13,9 +13,9 @@ subset the scan has reached, the points it has taken in so far and the value
 tuples g, in lex order, that _extends accepts over the subset and that no
 outside point realizes yet. Distances never change once a point is added, so
 the accepted tuples are fixed when the subset is first reached, and each scan
-only strikes out the patterns of the points added since the last one. A
-demand that could not be completed stays in its list: the final saturation
-scan reuses the frontier with no demand skipped.
+only strikes out the patterns of the points added since the last one. Every
+demand it finds is met: A passes the 4-values condition, which is
+amalgamation for finite A-spaces, so a new point is filled greedily.
 
 Stage growth, the class listing, universality and the homogeneity check run
 on integer codes; Fractions appear only in their arguments and results. A
@@ -41,6 +41,7 @@ verify_universality reports are the same.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,11 +156,9 @@ def _decode_space(dist, value_of: dict) -> FiniteMetricSpace:
     return FiniteMetricSpace(len(dist), tuple(tuple(value_of[c] for c in row) for row in dist))
 
 
-def _first_unmet_demand(
-    dist, n: int, positive, j_max: int, skipped: set, frontier: dict, accepted: dict
-):
+def _first_unmet_demand(dist, n: int, positive, j_max: int, frontier: dict, accepted: dict):
     """The first (subset, g) in (size, subset, g) lex order that _extends
-    accepts, no point outside subset realizes and skipped does not hold.
+    accepts and no point outside subset realizes.
 
     frontier[subset] is [points seen, dict of the unmet g in lex order]. What
     _extends accepts over a subset depends only on the distances inside it,
@@ -181,9 +180,8 @@ def _first_unmet_demand(
                 for pattern in zip(*(dist[s][seen:n] for s in subset)):
                     unmet.pop(pattern, None)
                 entry[0] = n
-            for g in unmet:
-                if (subset, g) not in skipped:
-                    return subset, g
+            if unmet:
+                return subset, next(iter(unmet))
     return None
 
 
@@ -209,63 +207,50 @@ def _add_point(dist, multiplicity: Counter, new: list[int]) -> None:
     dist.append(new + [0])
 
 
-def _complete_new_point(
-    dist, n: int, positive, multiplicity: Counter, subset, g
-) -> Optional[list[int]]:
+def _complete_new_point(dist, n: int, positive, multiplicity: Counter, subset, g) -> list | None:
     """Distances of a new point realizing g over subset, or None.
 
-    Free coordinates are filled by depth-first search; candidate values are
-    ranked by how rare the pair patterns they produce currently are (weight
-    1/(1+multiplicity) per pair), ties to the smallest value. Rewarding rare
-    patterns keeps rows decorrelated; a plain unmet-only count lets one
-    value flood the space and pair demands then regenerate forever. The
-    weights are kept exact as integers: scaled by lcm(1, ..., n), they are
-    whole numbers, and scaling every sum by one positive factor keeps the
-    ranking.
+    Free coordinates are filled in index order, so when u is filled the
+    placed points are the ones below u and the subset's above it. v is
+    admissible for u iff |d(u, t) - new[t]| <= v <= d(u, t) + new[t] for each
+    placed t: one interval, None if it holds no value. u takes the admissible
+    value whose pair patterns are rarest now (weight lcm(1, ..., n) // (1 +
+    multiplicity) per pair), ties to the smallest: an unmet-only count lets
+    one value flood the space, and pair demands then regenerate forever.
 
-    A value v for u closes a triangle with each placed t, so it is
-    consistent iff |d(u, t) - new[t]| <= v <= d(u, t) + new[t] for all of
-    them: one interval per free coordinate.
+    No choice is undone: the placed values form a one-point extension of the
+    placed points that no point realizes (it would realize g, which is
+    unmet), and the 4-values condition is amalgamation for finite A-spaces
+    (Sauer), so the extension reaches all n points.
     """
     new = [None] * n
-    for idx, s in enumerate(subset):
-        new[s] = g[idx]
-    free = [u for u in range(n) if new[u] is None]
+    for s, v in zip(subset, g):
+        new[s] = v
 
     scale = lcm(*range(1, n + 1))
     weight = [scale // (1 + m) for m in range(n)]
 
-    def fill(pos: int) -> bool:
-        if pos == len(free):
-            return True
-        u = free[pos]
-        row = dist[u]
-        # the placed points: the subset and the free coordinates before u
-        below = free[:pos] + [s for s in subset if s < u]
+    for u in sorted(set(range(n)) - set(subset)):
         above = [s for s in subset if s > u]
-        at_below = [new[t] for t in below]
+        at_below = new[:u]
         at_above = [new[t] for t in above]
-        d_placed = [row[t] for t in below + above]
+        d_placed = dist[u][:u] + [dist[u][t] for t in above]
         at_placed = at_below + at_above
         lo = max(map(abs, map(sub, d_placed, at_placed)))
         hi = min(map(add, d_placed, at_placed))
 
         def coverage(v: int) -> int:
             keys = chain(
-                zip(below, repeat(u), at_below, repeat(v)),
+                zip(range(u), repeat(u), at_below, repeat(v)),
                 zip(repeat(u), above, repeat(v), at_above),
             )
             return sum(map(weight.__getitem__, map(multiplicity.get, keys, repeat(0))))
 
-        ranked = sorted((v for v in positive if lo <= v <= hi), key=lambda v: (-coverage(v), v))
-        for v in ranked:
-            new[u] = v
-            if fill(pos + 1):
-                return True
-            new[u] = None
-        return False
-
-    return list(new) if fill(0) else None
+        admissible = positive[bisect_left(positive, lo) : bisect_right(positive, hi)]
+        if not admissible:
+            return None
+        new[u] = min(admissible, key=lambda v: (-coverage(v), v))
+    return new
 
 
 def urysohn_stage(
@@ -300,25 +285,23 @@ def urysohn_stage(
     dist: list[list[int]] = [[0]]
     n = 1
     log: list[list[int]] = []
-    skipped: set = set()
     multiplicity: Counter = Counter()
     frontier: dict = {}
     accepted: dict = {}
 
-    while n < size_budget:
-        demand = _first_unmet_demand(dist, n, positive, j_max, skipped, frontier, accepted)
-        if demand is None:
-            break
+    while (demand := _first_unmet_demand(dist, n, positive, j_max, frontier, accepted)) and (
+        n < size_budget
+    ):
         subset, g = demand
         new = _complete_new_point(dist, n, positive, multiplicity, subset, g)
         if new is None:
-            skipped.add((subset, g))
-            continue
+            g_values = ", ".join(str(value_of[c]) for c in g)
+            raise InvariantViolation(f"no point over A realizes g = ({g_values}) on {subset}")
         _add_point(dist, multiplicity, new)
         n += 1
         log.append(new)
 
-    saturated = _first_unmet_demand(dist, n, positive, j_max, set(), frontier, accepted) is None
+    saturated = demand is None
     _check_metric(dist)
     space = _decode_space(dist, value_of)
     result = StageResult(

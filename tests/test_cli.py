@@ -30,6 +30,8 @@ TRI_112 = {
     "n": 3,
     "dist": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]],
 }
+TREE = {"nodes": [[], [0], [1]], "r_seq": ["1/4", "1/16"], "rp_seq": ["9/8", "33/32"], "x": "1"}
+SLOPE = {"a": "1", "b": "2", "tail": ["3", "2"], "pool": ["5/4", "3/2", "13/8"]}
 
 
 def test_analyze_json_matches_golden(capsys):
@@ -153,15 +155,7 @@ def test_construct_rejects_invalid_metric(capsys, tmp_path):
 
 
 def test_construct_tree_space(capsys, tmp_path):
-    src = write_json(
-        tmp_path / "tree.json",
-        {
-            "nodes": [[], [0], [1]],
-            "r_seq": ["1/4", "1/16"],
-            "rp_seq": ["9/8", "33/32"],
-            "x": "1",
-        },
-    )
+    src = write_json(tmp_path / "tree.json", TREE)
     code, out, err = run(capsys, "construct", "tree-space", src)
     assert code == 0
     payload = json.loads(out)
@@ -220,6 +214,45 @@ def test_graph_loader_rejects_malformed_files(capsys, tmp_path, payload, message
     code, out, err = run(capsys, "construct", "graph-space", src, "--r", "1", "--rp", "2")
     assert code == 2 and out == ""
     assert err.startswith("error: graph file: ") and message in err
+
+
+LOADER_ARGV = {"tree": ("construct", "tree-space"), "slope": ("mpf", "slope", "--input")}
+
+
+@pytest.mark.parametrize(
+    "kind, payload, message",
+    [
+        ("tree", [TREE], "expected an object with the keys"),
+        ("tree", {**TREE, "extra": 1}, "expected an object with the keys"),
+        ("tree", {**TREE, "nodes": ["", "0", "1"]}, "bad node entry ''"),
+        ("tree", {**TREE, "nodes": [[], [0], [1.9]]}, "bad node entry [1.9]"),
+        ("tree", {**TREE, "nodes": [[], [0], [True]]}, "bad node entry [True]"),
+        ("tree", {**TREE, "nodes": "[]"}, "'nodes', 'r_seq' and 'rp_seq' must be lists"),
+        ("tree", {**TREE, "r_seq": "1/4"}, "'nodes', 'r_seq' and 'rp_seq' must be lists"),
+        ("slope", [SLOPE], "expected an object with the keys"),
+        ("slope", {**SLOPE, "extra": 1}, "expected an object with the keys"),
+        ("slope", {**SLOPE, "tail": "32"}, "'tail' and 'pool' must be lists"),
+        ("slope", {**SLOPE, "pool": {"5/4": 1}}, "'tail' and 'pool' must be lists"),
+    ],
+    ids=[
+        "tree-list", "tree-extra-key", "tree-string-nodes", "tree-float-node", "tree-bool-node",
+        "tree-nodes-string", "tree-r_seq-string",
+        "slope-list", "slope-extra-key", "slope-tail-string", "slope-pool-object",
+    ],
+)
+def test_tree_and_slope_loaders_reject_malformed_files(capsys, tmp_path, kind, payload, message):
+    # most of these used to be read as some other request, with exit 0
+    src = write_json(tmp_path / "bad.json", payload)
+    code, out, err = run(capsys, *LOADER_ARGV[kind], src)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {kind} file: ") and message in err
+
+
+def test_construct_parses_each_flag_before_requiring_the_next(capsys, tmp_path):
+    g = write_json(tmp_path / "g.json", {"n": 2, "edges": [[0, 1]]})
+    code, out, err = run(capsys, "construct", "graph-space", g, "--r", "bad")
+    assert (code, out) == (2, "")
+    assert err == "error: malformed rational 'bad'; expected 'p' or 'p/q'\n"
 
 
 def test_construct_wrong_arity(capsys, tmp_path):
@@ -366,10 +399,7 @@ def test_mpf_check_reports_witness(capsys, tmp_path):
 
 
 def test_mpf_slope_output_is_bare_table(capsys, tmp_path):
-    src = write_json(
-        tmp_path / "s.json",
-        {"a": "1", "b": "2", "tail": ["3", "2"], "pool": ["5/4", "3/2", "13/8"]},
-    )
+    src = write_json(tmp_path / "s.json", SLOPE)
     code, out, err = run(capsys, "mpf", "slope", "--input", src)
     assert code == 0
     assert json.loads(out) == [["0", "0"], ["1", "1"], ["2", "3/2"], ["3", "13/8"]]

@@ -129,6 +129,7 @@ def test_stage_is_prefix_monotone_in_budget():
     for budget in (5, 10, 17):
         partial = urysohn_stage(frs(0, 1, 2), budget, 3, 2)
         k = partial.space.n
+        assert partial.saturated == (k == full.space.n)
         assert partial.log == full.log[: k - 1]
         assert partial.space.dist == tuple(
             tuple(row[:k]) for row in full.space.dist[:k]

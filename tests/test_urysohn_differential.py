@@ -10,15 +10,17 @@ for the rest (the reference is too slow beyond that), and on two dense sets.
 The 4-values check is compared on its own over wider seeded sets, on
 Fractions and on the integer codes a stage passes it.
 
-Stages too large for the Fraction pipeline (budgets up to 150, and twenty
-seeded sets at budgets 20-60) are replayed with the integer kernels that
-came before the unmet-demand frontier patched into urysohn_stage: the scan
-that rebuilds every subset's realized patterns, the per-key pair counts and
-the per-value completion. Demands are also refused on purpose, on both
-sides, since a completion never fails over a set that passes the 4-values
-check and the skip path would otherwise go untested. Canonical keys, the
-universality coding of a U with distances outside A, and the homogeneity
-patterns are compared with their references on their own.
+Stages too large for the Fraction pipeline (budgets up to 150, twenty
+seeded sets at budgets 20-60, and twenty-four with 4-9 positive values at
+budgets 20-40) are replayed with the integer kernels that came before the
+unmet-demand frontier and the greedy completion, patched into urysohn_stage:
+the scan that rebuilds every subset's realized patterns, the per-key pair
+counts and the depth-first completion. Over a set that passes the 4-values
+check that search never backtracks, so both must pick the same values; with
+the check patched out, a set that fails it must raise InvariantViolation.
+Canonical keys, the universality coding of a U with distances outside A,
+and the homogeneity patterns are compared with their references on their
+own.
 """
 
 import itertools
@@ -31,6 +33,7 @@ import pytest
 
 import distset.urysohn as urysohn
 import urysohn_reference as ref
+from distset.errors import InvariantViolation
 from distset.metric import FiniteMetricSpace, _codes, subspace, validate_metric
 from distset.urysohn import (
     _canonical_key,
@@ -178,21 +181,48 @@ LARGE_STAGES = [
     ((0, 1, 2), 40, 3, 3),
     ((0, 1, 3, 7), 60, 3, 2),  # saturates at 27 points
 ]
-LARGE_CASES = [
-    (frozenset(Fraction(v) for v in values), *rest) for values, *rest in LARGE_STAGES
-] + _cases(20, seed=20181018, budgets=lambda rng: rng.randint(20, 60))
 
 
-def _int_reference_stage(monkeypatch, values, budget, eb, hb, complete=ref.int_complete_new_point):
-    """urysohn_stage run on the integer kernels it had before the frontier."""
+def _many_valued_cases(count: int, seed: int = 20181020) -> list:
+    """count seeded sets with 4-9 distinct positive values, cycling through
+    the sizes, that pass the 4-values check, at budgets 20-40 and bounds
+    (3, 2), (2, 1) or (4, 2). Sets this large rarely pass the check, and
+    their completion intervals hold more values, so the ranking and its ties
+    decide more choices. The check runs on the int codes v * 42 (42 is the
+    lcm of the denominators drawn): the Fraction loop takes seconds here."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(100 * count):
+        if len(cases) == count:
+            break
+        positive = set()
+        while len(positive) < 4 + len(cases) % 6:
+            positive.add(Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 7))))
+        values = frozenset({Fraction(0), *positive})
+        if four_values_check({int(v * 42) for v in values})[0]:
+            cases.append((values, rng.randint(20, 40), *rng.choice(((3, 2), (2, 1), (4, 2)))))
+    return cases
 
-    def rescan(dist, n, positive, j_max, skipped, *frontier):
-        return ref.int_first_unmet_demand(dist, n, positive, j_max, skipped)
+
+MANY_VALUED_CASES = _many_valued_cases(24)
+LARGE_CASES = (
+    [(frozenset(Fraction(v) for v in values), *rest) for values, *rest in LARGE_STAGES]
+    + _cases(20, seed=20181018, budgets=lambda rng: rng.randint(20, 60))
+    + MANY_VALUED_CASES
+)
+
+
+def _int_reference_stage(monkeypatch, values, budget, eb, hb):
+    """urysohn_stage run on the integer kernels it had before the frontier
+    and the greedy completion."""
+
+    def rescan(dist, n, positive, j_max, *frontier):
+        return ref.int_first_unmet_demand(dist, n, positive, j_max, set())
 
     with monkeypatch.context() as m:
         m.setattr(urysohn, "_first_unmet_demand", rescan)
         m.setattr(urysohn, "_add_point", ref.int_add_point)
-        m.setattr(urysohn, "_complete_new_point", complete)
+        m.setattr(urysohn, "_complete_new_point", ref.int_complete_new_point)
         return urysohn_stage(values, budget, eb, hb)
 
 
@@ -202,12 +232,17 @@ def _large_stage(case: int):
 
 
 def test_large_cases_cover_the_stated_ranges():
-    seeded = LARGE_CASES[len(LARGE_STAGES) :]
+    seeded = LARGE_CASES[len(LARGE_STAGES) : -len(MANY_VALUED_CASES)]
     assert len(seeded) == 20
     assert {budget for _, budget, _, _ in seeded} <= set(range(20, 61))
     assert {eb for *_, eb, _ in seeded} == {hb for *_, hb in seeded} == {1, 2, 3}
     assert _large_stage(3).space.n == 27 and _large_stage(3).saturated
     assert _large_stage(1).space.n == 150 and not _large_stage(1).saturated
+
+    assert len(MANY_VALUED_CASES) == 24
+    assert [len(values) - 1 for values, *_ in MANY_VALUED_CASES] == [4, 5, 6, 7, 8, 9] * 4
+    assert {budget for _, budget, _, _ in MANY_VALUED_CASES} <= set(range(20, 41))
+    assert {(eb, hb) for *_, eb, hb in MANY_VALUED_CASES} == {(3, 2), (2, 1), (4, 2)}
 
 
 @pytest.mark.parametrize("case", range(len(LARGE_CASES)))
@@ -219,36 +254,13 @@ def test_frontier_stage_matches_int_reference(case, monkeypatch):
     assert got.space == want.space
 
 
-def _refusing(complete, every: int):
-    """complete, but every every-th call fails, as if the demand could not
-    be met: the stage must skip it and still report it unmet at the end."""
-    calls = itertools.count(1)
-    return lambda *args: None if next(calls) % every == 0 else complete(*args)
-
-
-REFUSAL_CASES = [(case, every) for case in (2, 3, 10, 11) for every in (2, 3, 7)]
-
-
-@pytest.mark.parametrize("case, every", REFUSAL_CASES)
-def test_skipped_demands_match_int_reference(case, every, monkeypatch):
-    values, budget, eb, hb = LARGE_CASES[case]
-    with monkeypatch.context() as m:
-        m.setattr(urysohn, "_complete_new_point", _refusing(urysohn._complete_new_point, every))
-        got = urysohn_stage(values, budget, eb, hb)
-    want = _int_reference_stage(
-        monkeypatch, values, budget, eb, hb, _refusing(ref.int_complete_new_point, every)
-    )
-    assert (got.log, got.saturated, got.space) == (want.log, want.saturated, want.space)
-
-
-def test_a_refused_demand_leaves_a_stage_unsaturated(monkeypatch):
-    # {0, 1, 3, 7} saturates at 27 points when every demand is met; with
-    # refusals some skipped demand is never realized by a later point
-    values, budget, eb, hb = LARGE_CASES[3]
-    with monkeypatch.context() as m:
-        m.setattr(urysohn, "_complete_new_point", _refusing(urysohn._complete_new_point, 7))
-        result = urysohn_stage(values, budget, eb, hb)
-    assert result.space.n < budget and not result.saturated
+def test_an_uncompletable_demand_is_an_invariant_violation(monkeypatch):
+    # {0, 1, 2, 4} fails the 4-values check; passed anyway, a stage meets a
+    # demand whose completion has an empty interval, and says so
+    monkeypatch.setattr(urysohn, "four_values_check", lambda values: (True, None))
+    values = frozenset(Fraction(v) for v in (0, 1, 2, 4))
+    with pytest.raises(InvariantViolation, match=r"realizes g = \(1\) on \(6,\)$"):
+        urysohn_stage(values, 40, 3, 2)
 
 
 @pytest.mark.parametrize("case", range(len(LARGE_STAGES)))

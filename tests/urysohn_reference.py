@@ -10,10 +10,11 @@ bounds |a - b| <= x <= a + b.
 
 The integer section holds the int-coded stage kernels and the canonical key
 distset.urysohn used before its unmet-demand frontier, C-level pair counts,
-interval completion and itemgetter keys, verbatim: int_first_unmet_demand
-rebuilds every subset's realized patterns on every scan. They are patched
-into distset.urysohn.urysohn_stage to replay stages too large for the
-Fraction pipeline.
+greedy interval completion and itemgetter keys, verbatim:
+int_first_unmet_demand rebuilds every subset's realized patterns on every
+scan, and int_complete_new_point fills the free coordinates by depth-first
+search. They are patched into distset.urysohn.urysohn_stage to replay stages
+too large for the Fraction pipeline.
 """
 
 from __future__ import annotations

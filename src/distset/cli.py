@@ -3,12 +3,14 @@ run oracles and reductions, grow saturation stages, probe metric
 preserving functions.
 
 Exit codes: 0 on success, 1 when a domain error from a library module is
-rendered verbatim, 2 on usage, file, or JSON-shape problems. Reports are
-emitted as canonical JSON (sorted keys, rationals as "p/q" strings) so that
-identical requests produce byte-identical artifacts; analysis reports also
-carry the tool version and a digest of the input bytes. Construction and
-slope outputs are bare module formats with no report envelope, so they can
-be fed back in as inputs.
+rendered verbatim, 2 on usage, file, or JSON-shape problems, JSON nested too
+deeply to parse included. Every input file but a description is read through
+read_shape against its kind's declaration. Reports are emitted as canonical
+JSON (sorted keys, rationals as "p/q" strings) so that identical requests
+produce byte-identical artifacts; analysis reports also carry the tool
+version and a digest of the input bytes. Construction and slope outputs are
+bare module formats with no report envelope, so they can be fed back in as
+inputs.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .metric_preserving import (
     slope_construction,
 )
 from .oracles import find_embedding, find_isometry, graph_embed, graph_iso, verify_reduction
-from .rationals import format_rational, parse_rational
+from .rationals import INT, RATIONAL, Leaf, ListOf, format_rational, parse_rational, read_shape
 from .urysohn import urysohn_stage, verify_one_point_homogeneity, verify_universality
 
 _ORACLES = {
@@ -54,20 +56,21 @@ _ORACLES = {
 }
 
 
+_RATIONALS = ListOf(RATIONAL, "'p/q' string")
+_TREE = {
+    "nodes": ListOf(ListOf(INT, "integer"), "node"),
+    "r_seq": _RATIONALS,
+    "rp_seq": _RATIONALS,
+    "x": RATIONAL,
+}
+_SLOPE = {"a": RATIONAL, "b": RATIONAL, "tail": _RATIONALS, "pool": _RATIONALS}
+# each file is read by the loader of its relation
+_FILES = ListOf(Leaf(None), "file", 2)
+_REDUCTION = ListOf({"input": _FILES, "transformed": _FILES}, "pair")
+
+
 def _tree_from_json(raw) -> TreeData:
-    if not isinstance(raw, dict) or set(raw) != {"nodes", "r_seq", "rp_seq", "x"}:
-        raise ValueError("tree file: expected an object with the keys nodes, r_seq, rp_seq, x")
-    if not all(isinstance(raw[key], list) for key in ("nodes", "r_seq", "rp_seq")):
-        raise ValueError("tree file: 'nodes', 'r_seq' and 'rp_seq' must be lists")
-    for node in raw["nodes"]:
-        if not isinstance(node, list) or not all(type(i) is int for i in node):
-            raise ValueError(f"tree file: bad node entry {node!r}")
-    return TreeData(
-        nodes=tuple(map(tuple, raw["nodes"])),
-        r_seq=tuple(parse_rational(v) for v in raw["r_seq"]),
-        rp_seq=tuple(parse_rational(v) for v in raw["rp_seq"]),
-        x=parse_rational(raw["x"]),
-    )
+    return TreeData(**read_shape(raw, _TREE, "tree"))
 
 
 # name: (build, writer, rational flags, one loader per input file); build takes
@@ -108,7 +111,10 @@ def _write(text: str, output: str | None) -> None:
 
 def _read_json(path: str):
     with open(path, "rb") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _stamp(payload: dict, paths) -> dict:
@@ -171,14 +177,10 @@ def _cmd_oracle(args) -> int:
 def _cmd_reduce(args) -> int:
     search_in, load_in = _ORACLES[args.relation_in]
     search_out, load_out = _ORACLES[args.relation_out]
-    raw = _read_json(args.input)
-    if not isinstance(raw, list):
-        raise ValueError("reduction input must be a JSON list of pair objects")
-    pairs = []
-    for entry in raw:
-        a, b = entry["input"]
-        fa, fb = entry["transformed"]
-        pairs.append(((load_in(a), load_in(b)), (load_out(fa), load_out(fb))))
+    pairs = [
+        (tuple(map(load_in, entry["input"])), tuple(map(load_out, entry["transformed"])))
+        for entry in read_shape(_read_json(args.input), _REDUCTION, "reduction")
+    ]
 
     def wrap(search):
         return lambda u, v: search(u, v, max_points=args.max_points)
@@ -226,17 +228,7 @@ def _cmd_urysohn(args) -> int:
 def _cmd_mpf(args) -> int:
     raw = _read_json(args.input)
     if args.action == "slope":
-        if not isinstance(raw, dict) or set(raw) != {"a", "b", "tail", "pool"}:
-            raise ValueError("slope file: expected an object with the keys a, b, tail, pool")
-        if not isinstance(raw["tail"], list) or not isinstance(raw["pool"], list):
-            raise ValueError("slope file: 'tail' and 'pool' must be lists")
-        f = slope_construction(
-            parse_rational(raw["a"]),
-            parse_rational(raw["b"]),
-            [parse_rational(v) for v in raw["tail"]],
-            [parse_rational(v) for v in raw["pool"]],
-        )
-        _emit(func_to_json(f), args.output)
+        _emit(func_to_json(slope_construction(**read_shape(raw, _SLOPE, "slope"))), args.output)
         return 0
     f = func_from_json(raw)
     if args.action == "check":

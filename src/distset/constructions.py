@@ -16,7 +16,7 @@ from .errors import (
     NonpositiveGlueDistance,
 )
 from .metric import FiniteMetricSpace, validate_metric
-from .rationals import RationalLike, rat
+from .rationals import INT, ListOf, RationalLike, rat, read_shape
 
 
 @dataclass(frozen=True)
@@ -218,16 +218,8 @@ def graph_to_json_dict(G: Graph) -> dict:
     return {"n": G.n, "edges": [list(e) for e in sorted(G.edges)]}
 
 
+_GRAPH = {"n": INT, "edges": ListOf(ListOf(INT, "integer", 2), "edge")}
+
+
 def graph_from_json_dict(data: dict) -> Graph:
-    if not isinstance(data, dict) or set(data) != {"n", "edges"}:
-        raise ValueError("graph file must be an object with exactly the keys 'n' and 'edges'")
-    n = data["n"]
-    edges = data["edges"]
-    if type(n) is not int or not isinstance(edges, list):
-        raise ValueError("graph file: 'n' must be an integer and 'edges' a list")
-    pairs = set()
-    for e in edges:
-        if not isinstance(e, list) or len(e) != 2 or not all(type(v) is int for v in e):
-            raise ValueError(f"graph file: bad edge entry {e!r}")
-        pairs.add((e[0], e[1]))
-    return Graph(n, frozenset(pairs))
+    return Graph(**read_shape(data, _GRAPH, "graph"))

@@ -36,7 +36,7 @@ from .errors import (
     NonzeroDiagonal,
     TriangleViolation,
 )
-from .rationals import RationalLike, format_rational, rat
+from .rationals import INT, Leaf, ListOf, RationalLike, format_rational, rat, read_shape
 
 ZERO = Fraction(0)
 
@@ -153,14 +153,12 @@ def space_to_json_dict(space: FiniteMetricSpace) -> dict:
     }
 
 
+# distances, 'p/q' strings or integers, are parsed by validate_metric
+_MATRIX = {"n": INT, "dist": ListOf(ListOf(Leaf(frozenset({str, int})), "distance"), "row")}
+
+
 def space_from_json_dict(data: dict) -> FiniteMetricSpace:
-    if not isinstance(data, dict) or set(data) != {"n", "dist"}:
-        raise ValueError("matrix file must be an object with exactly the keys 'n' and 'dist'")
-    n = data["n"]
-    dist = data["dist"]
-    if type(n) is not int or not isinstance(dist, list) or len(dist) != n:
-        raise ValueError("matrix file: 'n' must be an integer equal to the row count of 'dist'")
-    for i, row in enumerate(dist):
-        if not isinstance(row, list) or not all(type(v) in (str, int) for v in row):
-            raise ValueError(f"matrix file: row {i} of 'dist' must be a list of 'p/q' strings or integers")
-    return validate_metric(dist)
+    matrix = read_shape(data, _MATRIX, "matrix")
+    if matrix["n"] != len(matrix["dist"]):
+        raise ValueError("matrix file: 'n' must equal the row count of 'dist'")
+    return validate_metric(matrix["dist"])

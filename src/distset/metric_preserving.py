@@ -33,7 +33,7 @@ from math import lcm
 
 from .errors import PoolExhausted, ZeroNotInDomain
 from .metric import _codes
-from .rationals import format_rational, parse_rational
+from .rationals import RATIONAL, ListOf, format_rational, read_shape
 
 Triple = tuple[Fraction, Fraction, Fraction]
 
@@ -99,12 +99,15 @@ def is_metric_preserving_finite(f: TabulatedFunction) -> tuple[bool, Triple | No
 
 
 def check_sufficient_condition(f: TabulatedFunction) -> bool:
-    """Nondecreasing, and f(r) <= f(s) + f(t) whenever s <= t < r <= s + t.
+    """The domain starts at 0, f(0) = 0 and f > 0 elsewhere; f is
+    nondecreasing, and f(r) <= f(s) + f(t) whenever s <= t < r <= s + t.
 
     A cheap sound criterion: anything passing it is metric preserving on the
-    domain.
+    domain. Without the premise on 0 it is not.
     """
     D, V = _domain_and_value_codes(f)
+    if not D or D[0] != 0 or V[0] != 0 or 0 in V[1:]:
+        return False
     if any(v > w for v, w in zip(V, V[1:])):
         return False
     n = len(D)
@@ -196,12 +199,8 @@ def func_to_json(f: TabulatedFunction) -> list[list[str]]:
     return [[format_rational(p), format_rational(v)] for p, v in f.pairs]
 
 
+_TABLE = ListOf(ListOf(RATIONAL, "'p/q' string", 2), "pair")
+
+
 def func_from_json(data: object) -> TabulatedFunction:
-    if not isinstance(data, list):
-        raise ValueError("tabulated function file must be a JSON list of [domain, value] pairs")
-    pairs = []
-    for item in data:
-        if not isinstance(item, list) or len(item) != 2:
-            raise ValueError(f"bad tabulated pair {item!r}")
-        pairs.append((parse_rational(item[0]), parse_rational(item[1])))
-    return TabulatedFunction(tuple(pairs))
+    return TabulatedFunction(read_shape(data, _TABLE, "tabulated function"))

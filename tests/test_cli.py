@@ -479,3 +479,78 @@ def test_parser_built_once_serves_every_call_alike(capsys, tmp_path):
     assert cached == fresh
     assert cached[0] == cached[3]
     assert cached[2][2] == "no admissible pool value remains for input 3\n"
+
+
+DEEP_ARGV = [
+    ("analyze", "--input", "{f}"),
+    ("construct", "glue", "{f}", "{f}", "--r", "1"),
+    ("construct", "tree-space", "{f}"),
+    ("oracle", "isometry", "{f}", "{f}"),
+    ("reduce", "isometry", "isometry", "--input", "{f}"),
+    ("urysohn", "--input", "{f}"),
+    ("mpf", "check", "--input", "{f}"),
+    ("mpf", "slope", "--input", "{f}"),
+]
+
+
+@pytest.mark.parametrize("argv", DEEP_ARGV, ids=lambda argv: " ".join(argv[:2]))
+def test_deeply_nested_input_is_a_file_error(capsys, tmp_path, argv):
+    # json.load recurses once per level; 100,000 levels used to escape main
+    # as a RecursionError
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, *(a.format(f=src) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: {src}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (
+            {"input": [TRI_112, TRI_112], "transformed": [PAIR_1, PAIR_1], "note": "x"},
+            "expected an object with the keys input, transformed (exactly the keys, no others)",
+        ),
+        (
+            [TRI_112, PAIR_1],
+            "expected an object with the keys input, transformed (exactly the keys, no others)",
+        ),
+        (
+            {"input": [TRI_112, TRI_112]},
+            "expected an object with the keys input, transformed (exactly the keys, no others)",
+        ),
+        (
+            {"input": {"a": TRI_112, "b": PAIR_1}, "transformed": [PAIR_1, PAIR_1]},
+            "'input' and 'transformed' must be lists",
+        ),
+        (
+            {"input": [TRI_112, TRI_112, PAIR_1], "transformed": [PAIR_1, PAIR_1]},
+            "'input' must be a list of 2 files",
+        ),
+    ],
+    ids=["extra-key", "not-an-object", "missing-key", "object-of-files", "three-files"],
+)
+def test_reduce_rejects_malformed_entries(capsys, tmp_path, entry, message):
+    # these used to exit 0 with a full report, or print a bare KeyError or
+    # a list-index TypeError, or unpack an object's keys as the two files
+    good = {"input": [TRI_112, TRI_112], "transformed": [PAIR_1, PAIR_1]}
+    src = write_json(tmp_path / "red.json", [good, entry])
+    code, out, err = run(capsys, "reduce", "isometry", "isometry", "--input", src)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: reduction file: bad pair entry ")
+    assert err.endswith(f": {message}\n")
+
+
+def test_reduce_rejects_a_file_that_is_not_a_list(capsys, tmp_path):
+    src = write_json(tmp_path / "red.json", {"input": [TRI_112, TRI_112]})
+    code, out, err = run(capsys, "reduce", "isometry", "isometry", "--input", src)
+    assert (code, out, err) == (2, "", "error: reduction file: the file must be a list of pairs\n")
+
+
+def test_reduce_reports_a_bad_space_with_its_own_loader(capsys, tmp_path):
+    src = write_json(
+        tmp_path / "red.json",
+        [{"input": [TRI_112, {"n": True, "dist": [["0"]]}], "transformed": [PAIR_1, PAIR_1]}],
+    )
+    code, out, err = run(capsys, "reduce", "isometry", "isometry", "--input", src)
+    assert (code, out, err) == (2, "", "error: matrix file: 'n' must be an integer\n")

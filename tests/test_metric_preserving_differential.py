@@ -198,10 +198,25 @@ def test_check_matches_fraction_kernel(batch):
         assert _outcome(is_metric_preserving_finite, TABLES[index]) == _reference_check(index), index
 
 
+def _premise(f):
+    """The domain starts at 0, f(0) = 0 and every other value is positive."""
+    return bool(f.pairs) and f.pairs[0] == (0, 0) and all(v > 0 for _, v in f.pairs[1:])
+
+
 @pytest.mark.parametrize("batch", range(BATCHES))
 def test_sufficient_matches_fraction_kernel(batch):
+    # The reference omits the premise on 0, without which the criterion is
+    # not sound (see the test below).
     for index in range(batch, len(TABLES), BATCHES):
-        assert check_sufficient_condition(TABLES[index]) == _reference_sufficient(index), index
+        want = _premise(TABLES[index]) and _reference_sufficient(index)
+        assert check_sufficient_condition(TABLES[index]) == want, index
+
+
+def test_sufficient_implies_metric_preserving():
+    passed = [f for f in TABLES if check_sufficient_condition(f)]
+    assert len(passed) >= 300
+    for f in passed:
+        assert is_metric_preserving_finite(f) == (True, None), f.pairs
 
 
 def test_sufficient_verdicts_are_mixed():

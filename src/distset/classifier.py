@@ -131,6 +131,9 @@ def classify_VAstar(facts: SetFacts) -> ComplexityVerdict:
         return ComplexityVerdict("D2Sigma11Complete")
     if facts.closed:
         return ComplexityVerdict("Sigma11Hard", upper_bound="Pi12")
+    # A is uncountable here, and every uncountable description holds an
+    # interval from 0, whose points are nonzero limit points in A: no
+    # description reaches Thm 4.5(2)(b), only fact vectors do.
     if not facts.some_nonzero_limit_point_in_A:
         return ComplexityVerdict("Pi11Hard", upper_bound="Pi12")
     return ComplexityVerdict("D2Sigma11Hard", upper_bound="Pi12")
@@ -170,12 +173,18 @@ def _isometry_kind(facts: SetFacts) -> str:
 def _isom_equals(facts: SetFacts, has_registered_witness: bool):
     if facts.countable:
         return "true", ["Thm 5.10"]
+    # A is uncountable here, and every uncountable description holds an
+    # interval from 0, so it is dense near 0: no description reaches Thm
+    # 5.7(i), only fact vectors do.
     if not facts.dense_near_zero:
         return "true", ["Thm 5.7(i)"]
     if facts.has_max:
         return "true", ["Thm 5.7(ii)"]
     if has_registered_witness:
         return "true", ["Thm 5.7(iii)"]
+    # A is dense near 0 here, and build_report passes dense_near_zero as the
+    # witness flag: no description reaches the Sec 6 Question, only fact
+    # vectors do.
     return "unknown", ["Sec 6 Question"]
 
 

@@ -115,6 +115,8 @@ def _read_json(path: str):
             return json.load(handle)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # bad syntax or bytes that decode to no text
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _stamp(payload: dict, paths) -> dict:

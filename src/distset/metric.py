@@ -4,11 +4,8 @@ A space is stored as a full symmetric matrix of Fractions. Validation scans
 row-major and reports the first witness, so error positions are
 reproducible.
 
-The checks run on integer codes. validate_metric multiplies every entry by
-L, the lcm of the matrix's denominators, so each code is the int
-v.numerator * (L // v.denominator). The metric inequalities are linear and
-homogeneous, so scaling by L > 0 keeps every comparison exact and every
-witness where it was.
+The checks run on the integer codes of rationals._codes, which states why
+every comparison and every witness stays where it was.
 
 The triangle check is a detour test. Once the first O(n^2) loop has found
 the matrix symmetric with a zero diagonal, column j equals row j, so the
@@ -24,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import add
 from typing import Iterable, Sequence
 
@@ -36,7 +32,7 @@ from .errors import (
     NonzeroDiagonal,
     TriangleViolation,
 )
-from .rationals import INT, Leaf, ListOf, RationalLike, format_rational, rat, read_shape
+from .rationals import INT, Leaf, ListOf, RationalLike, _codes, format_rational, rat, read_shape
 
 ZERO = Fraction(0)
 
@@ -67,15 +63,8 @@ def validate_metric(matrix: Sequence[Sequence[RationalLike]]) -> FiniteMetricSpa
             raise ValueError(f"matrix is not square: row of length {len(row)}, expected {n}")
         rows.append(tuple(rat(v) for v in row))
     d = tuple(rows)
-    _check_metric(_codes(d))
+    _check_metric(_codes(d)[1])
     return FiniteMetricSpace(n, d)
-
-
-def _codes(d: Sequence[Sequence[Fraction]], scale: int = 0) -> list[list[int]]:
-    """The matrix scaled by the lcm of its denominators, as ints. A nonzero
-    scale, a multiple of every denominator, is used instead."""
-    scale = scale or lcm(*{v.denominator for row in d for v in row})
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in d]
 
 
 def _check_metric(d: Sequence[Sequence[int]]) -> None:
@@ -126,7 +115,7 @@ def is_ultrametric(space: FiniteMetricSpace) -> bool:
     On a symmetric matrix, d(j,k) is row_k[j], so the pair (i, k) fails
     iff d(i,k) > min(max(row_i[j], row_k[j])) over all j.
     """
-    d = _codes(space.dist)
+    _, d = _codes(space.dist)
     for i, row_i in enumerate(d):
         for k in range(i + 1, space.n):
             if row_i[k] > min(map(max, row_i, d[k])):
@@ -159,6 +148,9 @@ _MATRIX = {"n": INT, "dist": ListOf(ListOf(Leaf(frozenset({str, int})), "distanc
 
 def space_from_json_dict(data: dict) -> FiniteMetricSpace:
     matrix = read_shape(data, _MATRIX, "matrix")
-    if matrix["n"] != len(matrix["dist"]):
+    n, rows = matrix["n"], matrix["dist"]
+    if n != len(rows):
         raise ValueError("matrix file: 'n' must equal the row count of 'dist'")
-    return validate_metric(matrix["dist"])
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix file: every row of 'dist' must have 'n' entries")
+    return validate_metric(rows)

@@ -5,12 +5,11 @@ it with any metric whose distances lie in the domain yields a metric again.
 On finite data this reduces to checking triples, since any violation is
 already visible on two or three points.
 
-The kernels run on integer codes. The domain and the values are each
-multiplied by the lcm of their own denominators; every test is homogeneous
-in the domain and, separately, in the values, so no verdict and no witness
-moves. The slope construction scales a, tail and pool by one lcm, since its
-identity part compares inputs with values. Fractions are read only to make
-the codes, and the caller's Fractions are returned.
+The kernels run on the integer codes of rationals._codes, which states why
+no verdict and no witness moves. The domain and the values are coded each
+on its own scale, since every test is homogeneous in each separately. The
+slope construction codes a, tail and pool on one scale, since its identity
+part compares inputs with values.
 
 For a domain pair i <= j (sorted domain D, values V), the third points a
 triangle admits are the indices k in [j, bisect_right(D, D[i] + D[j])), and
@@ -29,11 +28,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import PoolExhausted, ZeroNotInDomain
-from .metric import _codes
-from .rationals import RATIONAL, ListOf, format_rational, read_shape
+from .rationals import RATIONAL, ListOf, _codes, _decoded, format_rational, read_shape
 
 Triple = tuple[Fraction, Fraction, Fraction]
 
@@ -66,7 +63,7 @@ class TabulatedFunction:
 def _domain_and_value_codes(f: TabulatedFunction) -> tuple[list[int], list[int]]:
     """The domain and the values, each scaled by the lcm of its own
     denominators."""
-    (D,), (V,) = _codes([f.domain]), _codes([[v for _, v in f.pairs]])
+    (_, (D,)), (_, (V,)) = _codes([f.domain]), _codes([[v for _, v in f.pairs]])
     return D, V
 
 
@@ -144,22 +141,10 @@ def slope_construction(
         if not a < y < b:
             raise ValueError(f"pool value {y} outside the open interval ({a}, {b})")
 
-    scale = lcm(a.denominator, *(v.denominator for v in tail), *(y.denominator for y in pool))
-
-    def code(v: Fraction) -> int:
-        return v.numerator * (scale // v.denominator)
-
-    by_code = {code(y): y for y in pool}
-    ladder = sorted(by_code)
-    points: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
-    xs, ys = [0], [0]
-    if a > 0:
-        points.append((a, a))
-        xs.append(code(a))
-        ys.append(code(a))
-
-    for v in tail:
-        x = code(v)
+    scale, ((x_a, *x_tail), ladder) = _codes([(a, *tail), sorted(set(pool))])
+    xs = [0, x_a] if a > 0 else [0]
+    ys = xs.copy()
+    for v, x in zip(tail, x_tail):
         t = bisect_left(xs, x)
         for rank in range(bisect_left(ladder, x) - 1, -1, -1):
             y = ladder[rank]
@@ -167,10 +152,9 @@ def slope_construction(
                 break
         else:
             raise PoolExhausted(v)
-        points.insert(t, (v, by_code[y]))
         xs.insert(t, x)
         ys.insert(t, y)
-    return TabulatedFunction(tuple(points))
+    return TabulatedFunction(tuple(zip(*_decoded([xs, ys], scale))))
 
 
 def _fits(xs: list[int], ys: list[int], t: int, x: int, y: int) -> bool:

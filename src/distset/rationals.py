@@ -1,4 +1,5 @@
 """Exact rational parsing and formatting for the canonical "p/q" wire format,
+the one coder between rationals and the integer codes the kernels run on,
 and the reader that checks a JSON input file against a declared shape.
 The reader walks the shape, never the data, so its depth is the shape's.
 """
@@ -7,7 +8,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import chain
+from math import lcm
+from typing import Iterable, NamedTuple, Sequence
 
 RationalLike = Fraction | int | str
 
@@ -47,6 +50,28 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _codes(
+    rows: Sequence[Iterable[Fraction | int]], scale: int = 0
+) -> tuple[int, list[list[int]]]:
+    """(L, the rows times L as ints), L the lcm of every denominator in the
+    rows, or the given nonzero scale, which must be a multiple of each.
+
+    Rows may differ in length and hold ints or Fractions. Scaling by L > 0
+    is strictly monotone and linear, so the codes keep every <, == and sum
+    of the rationals, and with them every triangle, Katetov and 4-values
+    verdict, every sort order, and every witness a kernel reports.
+    """
+    scale = scale or lcm(*{v.denominator for row in rows for v in row})
+    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+
+
+def _decoded(rows: Sequence[Sequence[int]], scale: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The inverse of _codes: the rows of codes over scale as Fractions,
+    made once per distinct code."""
+    value_of = {c: Fraction(c, scale) for c in set(chain.from_iterable(rows))}
+    return tuple(tuple(map(value_of.__getitem__, row)) for row in rows)
 
 
 class Leaf(NamedTuple):

@@ -18,15 +18,11 @@ demand it finds is met: A passes the 4-values condition, which is
 amalgamation for finite A-spaces, so a new point is filled greedily.
 
 Stage growth, the class listing, universality and the homogeneity check run
-on integer codes; Fractions appear only in their arguments and results. A
-stage multiplies A by L, the lcm of its denominators, so every code is an
-int. The triangle and Katětov inequalities are linear and homogeneous, so
-scaling by L > 0 keeps every comparison, and with it every sort order and
-every choice the stage makes, exactly as on the rationals. The homogeneity
-check scales U by the lcm of its denominators, which keeps the lex order of
-distance patterns too. verify_universality scales A and the spectrum of U by
-one lcm (U may realize distances outside A) and runs every embedding search,
-through the public find_embedding, on those codes.
+on the integer codes of rationals._codes, which states why every comparison,
+sort order and choice is the one the rationals would give; Fractions appear
+only in their arguments and results. verify_universality codes A and U on
+one scale (U may realize distances outside A) and runs every embedding
+search, through the public find_embedding, on those codes.
 
 The class listing grows each size from the one before: deleting a point of
 an A-space leaves one, so it extends each representative on n - 1 points by
@@ -46,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, permutations, product, repeat
+from itertools import chain, combinations, islice, permutations, product, repeat
 from math import lcm
 from operator import add, itemgetter, sub
 from typing import Iterable, Optional
@@ -55,12 +51,12 @@ from .errors import BudgetTooSmall, FourValuesFails, InvariantViolation, Spectru
 from .metric import (
     FiniteMetricSpace,
     _check_metric,
-    _codes as _matrix_codes,
     _extends,
     distance_spectrum,
     validate_metric,
 )
 from .oracles import find_embedding
+from .rationals import _codes, _decoded
 
 ZERO = Fraction(0)
 
@@ -139,21 +135,6 @@ class StageResult:
     space: FiniteMetricSpace
     saturated: bool
     log: tuple[tuple[Fraction, ...], ...]
-
-
-def _codes(values: set) -> dict:
-    """Integer code v * L of each value, L the lcm of the denominators."""
-    scale = lcm(*(Fraction(v).denominator for v in values))
-    return {v: int(Fraction(v) * scale) for v in values}
-
-
-def _decoder(codes: dict) -> dict:
-    """The inverse of _codes, with 0 decoding to Fraction 0."""
-    return {0: ZERO, **{c: Fraction(v) for v, c in codes.items()}}
-
-
-def _decode_space(dist, value_of: dict) -> FiniteMetricSpace:
-    return FiniteMetricSpace(len(dist), tuple(tuple(value_of[c] for c in row) for row in dist))
 
 
 def _first_unmet_demand(dist, n: int, positive, j_max: int, frontier: dict, accepted: dict):
@@ -270,17 +251,16 @@ def urysohn_stage(
     stage raises BudgetTooSmall instead; the exception carries the result.
     """
     values = set(A)
-    codes = _codes(values)
-    value_of = _decoder(codes)
-    ok, witness = four_values_check(set(codes.values()))
+    scale, (codes,) = _codes([sorted(values)])
+    ok, witness = four_values_check(codes)
     if not ok:
-        raise FourValuesFails(tuple(value_of[c] for c in witness))
+        raise FourValuesFails(_decoded([witness], scale)[0])
     if ZERO not in values:
         raise ValueError("the distance set must contain 0")
     if size_budget < 1 or embed_bound < 1 or homog_bound < 1:
         raise ValueError("budgets and bounds must be >= 1")
 
-    positive = sorted(c for c in codes.values() if c > 0)
+    positive = [c for c in codes if c > 0]
     j_max = max(embed_bound - 1, homog_bound)
     dist: list[list[int]] = [[0]]
     n = 1
@@ -295,7 +275,7 @@ def urysohn_stage(
         subset, g = demand
         new = _complete_new_point(dist, n, positive, multiplicity, subset, g)
         if new is None:
-            g_values = ", ".join(str(value_of[c]) for c in g)
+            g_values = ", ".join(map(str, _decoded([g], scale)[0]))
             raise InvariantViolation(f"no point over A realizes g = ({g_values}) on {subset}")
         _add_point(dist, multiplicity, new)
         n += 1
@@ -303,10 +283,8 @@ def urysohn_stage(
 
     saturated = demand is None
     _check_metric(dist)
-    space = _decode_space(dist, value_of)
-    result = StageResult(
-        space, saturated, tuple(tuple(value_of[c] for c in new) for new in log)
-    )
+    space = FiniteMetricSpace(n, _decoded(dist, scale))
+    result = StageResult(space, saturated, _decoded(log, scale))
     if strict and not saturated:
         raise BudgetTooSmall(result)
     return result
@@ -334,8 +312,8 @@ def _canonical_key(dist) -> tuple:
 def enumerate_spaces_up_to_isometry(A: Iterable[Fraction], max_size: int) -> list[FiniteMetricSpace]:
     """All spaces with distances in A on at most max_size points, one per
     isometry class, smallest first."""
-    codes = _codes(set(A))
-    positive = sorted(c for c in codes.values() if c > 0)
+    scale, (codes,) = _codes([sorted(set(A))])
+    positive = [c for c in codes if c > 0]
     level: list = [[]]  # the empty space, whose one extension is the point
     reps: list = []
     for n in range(1, max_size + 1):
@@ -352,8 +330,9 @@ def enumerate_spaces_up_to_isometry(A: Iterable[Fraction], max_size: int) -> lis
                 rows[i][j] = rows[j][i] = v
             level.append(rows)
         reps.extend(level)
-    value_of = _decoder(codes)
-    return [_decode_space(dist, value_of) for dist in reps]
+    # one decode for all classes: a Fraction per distinct code, not per class
+    rows = iter(_decoded([row for dist in reps for row in dist], scale))
+    return [FiniteMetricSpace(len(dist), tuple(islice(rows, len(dist)))) for dist in reps]
 
 
 def verify_universality(
@@ -363,13 +342,13 @@ def verify_universality(
 
     Returns (True, None) or (False, missing-space).
     """
-    values = {Fraction(v) for v in A}
+    values = set(A)
     # U may realize distances outside A: one scale codes both
-    scale = lcm(*{v.denominator for v in values}, *{v.denominator for row in U.dist for v in row})
-    coded_U = FiniteMetricSpace(U.n, _matrix_codes(U.dist, scale))
+    scale, (_, *u_rows) = _codes([values, *U.dist])
+    coded_U = FiniteMetricSpace(U.n, u_rows)
     cap = max(U.n, s)
     for space in enumerate_spaces_up_to_isometry(values, s):
-        coded = FiniteMetricSpace(space.n, _matrix_codes(space.dist, scale))
+        coded = FiniteMetricSpace(space.n, _codes(space.dist, scale)[1])
         if find_embedding(coded, coded_U, max_points=cap) is None:
             return False, space
     return True, None
@@ -386,7 +365,7 @@ def verify_one_point_homogeneity(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    d = _matrix_codes(U.dist)
+    _, d = _codes(U.dist)
     for j in range(1, k + 1):
         groups: dict = {}
         for tup in permutations(range(U.n), j):

@@ -200,6 +200,30 @@ def test_matrix_loader_rejects_malformed_files(capsys, tmp_path, monkeypatch, pa
     assert err.startswith(prefix) and message in err
 
 
+def test_matrix_loader_rejects_ragged_rows(capsys, tmp_path):
+    # n matches the row count, so only the row lengths are wrong
+    src = write_json(tmp_path / "bad.json", {"n": 2, "dist": [["0"], ["1", "0"]]})
+    code, out, err = run(capsys, "oracle", "isometry", src, src)
+    assert (code, out) == (2, "")
+    assert err == "error: matrix file: every row of 'dist' must have 'n' entries\n"
+
+
+@pytest.mark.parametrize("broken", (0, 1))
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (json.dumps(TRI_112).encode()[:-2], "Expecting "),  # truncated
+        (b"\xff\xfe{", "'utf-16-le' codec can't decode"),
+    ],
+)
+def test_unparsable_json_names_the_file(capsys, tmp_path, broken, content, message):
+    paths = [write_json(tmp_path / f"{i}.json", TRI_112) for i in (0, 1)]
+    pathlib.Path(paths[broken]).write_bytes(content)
+    code, out, err = run(capsys, "oracle", "isometry", *paths)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {paths[broken]}: {message}")
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [

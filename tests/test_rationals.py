@@ -1,10 +1,18 @@
-"""Wire-format parsing and formatting of exact rationals."""
+"""Wire-format parsing and formatting of exact rationals, and the coder
+between rationals and integer codes."""
 
+import re
 from fractions import Fraction
+from itertools import chain, product
+from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
-from distset.rationals import format_rational, parse_rational, rat
+from distset.errors import FourValuesFails
+from distset.metric_preserving import slope_construction
+from distset.rationals import _codes, _decoded, format_rational, parse_rational, rat
+from distset.urysohn import enumerate_spaces_up_to_isometry, urysohn_stage
 
 
 def test_parse_plain_integers():
@@ -64,3 +72,52 @@ def test_rat_rejects_floats_and_bools():
         rat(True)
     with pytest.raises(TypeError):
         rat(None)
+
+
+# --- the coder ------------------------------------------------------------------
+
+VALUES = st.integers(-30, 30) | st.fractions(min_value=-30, max_value=30, max_denominator=24)
+ROWS = st.lists(st.lists(VALUES, max_size=4), max_size=4)  # ragged, ints and Fractions
+
+
+@given(ROWS, st.integers(1, 6))
+def test_codes_round_trip_and_keep_order_equality_and_sums(rows, multiple):
+    scale, codes = _codes(rows)
+    assert scale == lcm(*(v.denominator for v in chain.from_iterable(rows)))
+    assert [len(row) for row in codes] == [len(row) for row in rows]
+    assert all(type(c) is int for c in chain.from_iterable(codes))
+    decoded = _decoded(codes, scale)
+    assert decoded == tuple(map(tuple, rows))
+    assert all(type(v) is Fraction for v in chain.from_iterable(decoded))
+
+    pairs = list(zip(chain.from_iterable(rows), chain.from_iterable(codes)))
+    for (x, cx), (y, cy) in product(pairs, repeat=2):
+        assert (x < y) == (cx < cy) and (x == y) == (cx == cy)
+        for z, cz in pairs:
+            assert (x + y < z) == (cx + cy < cz) and (x + y == z) == (cx + cy == cz)
+
+    # an explicit multiple of the lcm scales every code by the same factor
+    wide, wide_codes = _codes(rows, scale * multiple)
+    assert wide == scale * multiple
+    assert wide_codes == [[c * multiple for c in row] for row in codes]
+    assert _decoded(wide_codes, wide) == decoded
+
+
+def test_slope_dedupes_a_pool_that_repeats_values():
+    F = Fraction
+    pool = (F(13, 8), F(5, 4), F(3, 2), F(5, 4), F(13, 8))
+    want = slope_construction(F(1), F(2), (F(3), F(2)), set(pool))
+    assert slope_construction(F(1), F(2), (F(3), F(2)), pool) == want
+
+
+def test_stage_and_class_listing_accept_int_values():
+    stage = urysohn_stage((0, 1, 2), 20, 3, 2)
+    assert stage == urysohn_stage(tuple(map(Fraction, (0, 1, 2))), 20, 3, 2)
+    assert all(type(v) is Fraction for row in stage.space.dist for v in row)
+    spaces = enumerate_spaces_up_to_isometry({0, 1, 2}, 3)
+    assert spaces == enumerate_spaces_up_to_isometry({Fraction(v) for v in (0, 1, 2)}, 3)
+    assert all(type(v) is Fraction for space in spaces for row in space.dist for v in row)
+    # the witness is decoded to Fractions, whatever the input's type
+    witness = "(Fraction(1, 1), Fraction(1, 1), Fraction(2, 1), Fraction(4, 1), Fraction(2, 1))"
+    with pytest.raises(FourValuesFails, match=re.escape(witness)):
+        urysohn_stage((0, 1, 2, 4), 10, 2, 1)

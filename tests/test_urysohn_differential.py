@@ -34,7 +34,8 @@ import pytest
 import distset.urysohn as urysohn
 import urysohn_reference as ref
 from distset.errors import InvariantViolation
-from distset.metric import FiniteMetricSpace, _codes, subspace, validate_metric
+from distset.metric import FiniteMetricSpace, subspace, validate_metric
+from distset.rationals import _codes
 from distset.urysohn import (
     _canonical_key,
     _extension_patterns,
@@ -274,7 +275,7 @@ def test_homogeneity_matches_reference_on_large_stages(case, k):
 def test_extension_patterns_leave_out_the_tuples_own_points(case):
     # pinned: the set holds only outside points' patterns, as the reference's
     space = subspace(_large_stage(case).space, range(12))
-    d = _codes(space.dist)
+    _, d = _codes(space.dist)
     for j in (1, 2, 3):
         for tup in itertools.permutations(range(space.n), j):
             assert _extension_patterns(d, tup) == ref._extension_patterns(d, space.n, tup)

@@ -21,6 +21,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .classifier import build_report, render_report_text
@@ -86,19 +87,55 @@ _CONSTRUCTIONS = {
 }
 
 
+# leaves that JSON writes as they are
+_PLAIN = frozenset({str, int, bool, type(None)})
+
+
 def _jsonable(value):
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, dict):
         return {key: _jsonable(val) for key, val in value.items()}
     if isinstance(value, (list, tuple)):
+        if _PLAIN.issuperset(map(type, value)):  # a written matrix row, say
+            return value
         return [_jsonable(item) for item in value]
     return value
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for what _jsonable returns,
+    with string keys. A list of strings only, or of ints only, such as a
+    written matrix row, is joined at C level."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if isinstance(value, dict) and value:
+        inner = indent + "  "
+        items = (f"{_quote(key)}: {_dumps(val, inner)}" for key, val in sorted(value.items()))
+        ends = "{}"
+    elif isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            items = map(_quote, value)
+        elif kinds == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = (_dumps(item, inner) for item in value)
+        ends = "[]"
+    else:
+        return _SCALARS[value] if value is None or kind is bool else json.dumps(value)
+    return ends[0] + inner + f",{inner}".join(items) + indent + ends[1]
+
+
+_SCALARS = {None: "null", True: "true", False: "false"}
+
+
 def _emit(payload, output: str | None) -> None:
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
-    _write(text, output)
+    _write(_dumps(_jsonable(payload)) + "\n", output)
 
 
 def _write(text: str, output: str | None) -> None:

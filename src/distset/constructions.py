@@ -1,13 +1,16 @@
 """Space-building devices: gluing, max products, tree spaces, graph spaces.
 
-Every constructor returns a validated FiniteMetricSpace, so a bug here
-surfaces as a named validation error instead of a silently bad matrix.
+Every constructor builds the integer codes of its matrix (rationals._codes)
+from the codes of its inputs, brought to one scale, and returns a space
+checked by the full metric check, so a bug here surfaces as a named
+validation error instead of a silently bad matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, repeat
 
 from .errors import (
     BadDistancePair,
@@ -15,8 +18,8 @@ from .errors import (
     InvalidTreeData,
     NonpositiveGlueDistance,
 )
-from .metric import FiniteMetricSpace, validate_metric
-from .rationals import INT, ListOf, RationalLike, rat, read_shape
+from .metric import FiniteMetricSpace, _space
+from .rationals import INT, ListOf, RationalLike, _codes, _joint, read_shape
 
 
 @dataclass(frozen=True)
@@ -65,39 +68,31 @@ def glue(
     their own metrics, and the spectrum of the result is exactly
     D(X) | D(Y) | {r}.
     """
-    r = rat(r)
+    q, ((r,),) = _codes([[r]])
     if r <= 0:
         raise NonpositiveGlueDistance()
     if not 0 <= xbar < X.n:
         raise IndexOutOfRange(xbar, X.n)
     if not 0 <= ybar < Y.n:
         raise IndexOutOfRange(ybar, Y.n)
-    n = X.n + Y.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(X.n):
-        for j in range(X.n):
-            rows[i][j] = X.dist[i][j]
-    for i in range(Y.n):
-        for j in range(Y.n):
-            rows[X.n + i][X.n + j] = Y.dist[i][j]
-    for i in range(X.n):
-        for j in range(Y.n):
-            d = max(X.dist[i][xbar], Y.dist[j][ybar], r)
-            rows[i][X.n + j] = d
-            rows[X.n + j][i] = d
-    return validate_metric(rows)
+    scale, (dx, dy, ((r,),)) = _joint(X._coded, Y._coded, (q, [[r]]))
+    # the cross distance of (x, y) is max(max(d_X(x, xbar), r), d_Y(y, ybar))
+    ax = [max(row[xbar], r) for row in dx]
+    by = [row[ybar] for row in dy]
+    rows = [row + list(map(max, repeat(a), by)) for row, a in zip(dx, ax)]
+    rows += [list(map(max, ax, repeat(b))) + row for row, b in zip(dy, by)]
+    return _space(scale, rows)
 
 
 def max_product(X: FiniteMetricSpace, Z: FiniteMetricSpace) -> FiniteMetricSpace:
     """Product set with the max metric; point (i, j) sits at index i*|Z| + j."""
-    n = X.n * Z.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(X.n):
-        for j in range(Z.n):
-            for k in range(X.n):
-                for l in range(Z.n):
-                    rows[i * Z.n + j][k * Z.n + l] = max(X.dist[i][k], Z.dist[j][l])
-    return validate_metric(rows)
+    scale, (dx, dz) = _joint(X._coded, Z._coded)
+    rows = [
+        list(chain.from_iterable(map(max, repeat(a), z_row) for a in x_row))
+        for x_row in dx
+        for z_row in dz
+    ]
+    return _space(scale, rows)
 
 
 @dataclass(frozen=True)
@@ -127,6 +122,7 @@ def check_tree_suitable(
     n = len(r_seq)
     if n <= depth:
         return False, f"need more sequence terms ({n}) than the tree depth ({depth})"
+    _, (r_seq, rp_seq, (x,)) = _codes([r_seq, rp_seq, [x]])
     if x <= 0:
         return False, "x must be positive"
     if any(v <= 0 for v in r_seq):
@@ -169,9 +165,10 @@ def tree_space(data: TreeData) -> FiniteMetricSpace:
     if not ok:
         raise InvalidTreeData(why)
 
+    scale, (r_seq, rp_seq) = _codes([data.r_seq, data.rp_seq])
     n = len(nodes) + 1
     star = n - 1
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i, s in enumerate(nodes):
         for j, t in enumerate(nodes):
             if i == j:
@@ -179,10 +176,10 @@ def tree_space(data: TreeData) -> FiniteMetricSpace:
             split = 0
             while split < min(len(s), len(t)) and s[split] == t[split]:
                 split += 1
-            rows[i][j] = data.r_seq[split]
-        rows[i][star] = data.rp_seq[len(s)]
+            rows[i][j] = r_seq[split]
+        rows[i][star] = rp_seq[len(s)]
         rows[star][i] = rows[i][star]
-    return validate_metric(rows)
+    return _space(scale, rows)
 
 
 def graph_space(G: Graph, r: RationalLike, rp: RationalLike) -> FiniteMetricSpace:
@@ -191,25 +188,30 @@ def graph_space(G: Graph, r: RationalLike, rp: RationalLike) -> FiniteMetricSpac
     The window 0 < r < rp <= 2r makes every triangle valid and lets
     space_to_graph invert the construction.
     """
-    r, rp = rat(r), rat(rp)
+    scale, ((r, rp),) = _codes([[r, rp]])
+    value = lambda code: Fraction(code, scale)  # for messages
     if r <= 0:
-        raise BadDistancePair(f"r = {r} is not positive")
+        raise BadDistancePair(f"r = {value(r)} is not positive")
     if rp <= r:
-        raise BadDistancePair(f"rp = {rp} does not exceed r = {r}")
+        raise BadDistancePair(f"rp = {value(rp)} does not exceed r = {value(r)}")
     if rp > 2 * r:
-        raise BadDistancePair(f"rp = {rp} exceeds 2r = {2 * r}")
-    rows = [
-        [Fraction(0) if i == j else (r if G.adjacent(i, j) else rp) for j in range(G.n)]
-        for i in range(G.n)
-    ]
-    return validate_metric(rows)
+        raise BadDistancePair(f"rp = {value(rp)} exceeds 2r = {value(2 * r)}")
+    rows = [[rp] * G.n for _ in range(G.n)]
+    for a, b in G.edges:
+        rows[a][b] = rows[b][a] = r
+    for i, row in enumerate(rows):
+        row[i] = 0
+    return _space(scale, rows)
 
 
 def space_to_graph(X: FiniteMetricSpace, r: RationalLike) -> Graph:
     """Graph with an edge wherever the space realizes distance exactly r."""
-    r = rat(r)
+    q, ((r,),) = _codes([[r]])
+    _, (d, ((r,),)) = _joint(X._coded, (q, [[r]]))
     edges = {
-        (i, j) for i in range(X.n) for j in range(i + 1, X.n) if X.dist[i][j] == r
+        (i, j)
+        for i, row in enumerate(d)
+        for j in compress(range(i + 1, X.n), map(r.__eq__, row[i + 1 :]))
     }
     return Graph(X.n, frozenset(edges))
 

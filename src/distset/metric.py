@@ -1,27 +1,33 @@
 """Finite metric spaces with exact rational distances.
 
-A space is stored as a full symmetric matrix of Fractions. Validation scans
-row-major and reports the first witness, so error positions are
-reproducible.
+A space holds its full symmetric matrix twice: as Fractions in dist, and
+as integer codes over one scale, which every kernel of the package runs on;
+rationals._codes states why every comparison and every witness stays where
+the rationals put it. A space built here carries the codes it was checked
+on, and dist is decoded from them, one Fraction per distinct code; a space
+built by hand as FiniteMetricSpace(n, dist) is coded on first use. Validation scans row-major and reports the first witness, so
+error positions are reproducible.
 
-The checks run on the integer codes of rationals._codes, which states why
-every comparison and every witness stays where it was.
-
-The triangle check is a detour test. Once the first O(n^2) loop has found
-the matrix symmetric with a zero diagonal, column j equals row j, so the
-pair (i, j) breaks a triangle iff row_i[j] > min(row_i[k] + row_j[k]) over
-all k, a minimum taken at C level. The terms k = i and k = j equal
-row_i[j], so only a proper detour can fail the strict test. Only j > i is
-tested: (j, i) fails exactly when (i, j) does, so the first failing pair in
-row-major order has j > i. Re-scanning k in order for that pair alone gives
-the first (i, j, k) of the row-major triple scan.
+The first checks run at C level, row by row and on the transpose; only a
+matrix that fails them is scanned entry by entry for the first fault. The
+triangle check is then a detour test. Column j equals row j, so the pair
+(i, j) breaks a triangle iff row_i[j] > min(row_i[k] + row_j[k]) over all
+k, a minimum taken at C level. The terms k = i and k = j equal row_i[j], so
+only a proper detour can fail the strict test, and a proper detour is at
+least low_i + low_j, the least distances off the diagonal in rows i and j:
+pairs at or below that bound are skipped, a filter run at C level per row.
+Only j > i is tested: (j, i) fails exactly when (i, j) does, so the first
+failing pair in row-major order has j > i. Re-scanning k in order for that
+pair alone gives the first (i, j, k) of the row-major triple scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from functools import cached_property
+from itertools import compress, repeat
+from operator import add, gt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -32,7 +38,7 @@ from .errors import (
     NonzeroDiagonal,
     TriangleViolation,
 )
-from .rationals import INT, Leaf, ListOf, RationalLike, _codes, format_rational, rat, read_shape
+from .rationals import INT, Leaf, ListOf, RationalLike, _codes, _decoded, _formatted, _ratio, read_shape
 
 ZERO = Fraction(0)
 
@@ -47,40 +53,70 @@ class FiniteMetricSpace:
     def distance(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
 
+    @cached_property
+    def _coded(self) -> tuple[int, list[list[int]]]:
+        """(L, the rows of dist times L as ints), as rationals._codes."""
+        return _codes(self.dist)
+
 
 def validate_metric(matrix: Sequence[Sequence[RationalLike]]) -> FiniteMetricSpace:
     """Check a square matrix and freeze it into a FiniteMetricSpace.
 
     Raises, in scan order: NonzeroDiagonal, AsymmetricMatrix,
-    NonpositiveOffDiagonal, TriangleViolation.
+    NonpositiveOffDiagonal, TriangleViolation. Entries are read to codes
+    before any of these, and a row of the wrong length is reported after
+    the faulty entries of the rows above it.
     """
     n = len(matrix)
     if n == 0:
         raise EmptySelection()
-    rows = []
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError(f"matrix is not square: row of length {len(row)}, expected {n}")
-        rows.append(tuple(rat(v) for v in row))
-    d = tuple(rows)
-    _check_metric(_codes(d)[1])
-    return FiniteMetricSpace(n, d)
+    try:
+        square = all(len(row) == n for row in matrix)
+    except TypeError:  # a row with no length
+        square = False
+    if not square:  # the first fault in row-major order raises
+        for row in matrix:
+            if len(row) != n:
+                raise ValueError(f"matrix is not square: row of length {len(row)}, expected {n}")
+            for v in row:
+                _ratio(v)
+    return _space(*_codes(matrix))
+
+
+def _space(scale: int, rows: list[list[int]]) -> FiniteMetricSpace:
+    """The space of a square matrix of codes over scale, checked by
+    _check_metric; it carries those codes."""
+    _check_metric(rows)
+    return _coded_space(scale, rows)
+
+
+def _coded_space(scale: int, rows: list[list[int]], dist=None) -> FiniteMetricSpace:
+    """The space of a metric given by codes over scale, unchecked, carrying
+    them; dist is their decoding, made here if not given."""
+    space = FiniteMetricSpace(len(rows), dist or _decoded(rows, scale))
+    space.__dict__["_coded"] = scale, rows  # what the cached_property would hold
+    return space
 
 
 def _check_metric(d: Sequence[Sequence[int]]) -> None:
     """The checks of validate_metric on a square matrix of integer codes."""
     n = len(d)
-    for i in range(n):
-        if d[i][i] != 0:
-            raise NonzeroDiagonal(i)
-        for j in range(n):
-            if d[i][j] != d[j][i]:
-                raise AsymmetricMatrix(i, j)
-            if i != j and d[i][j] <= 0:
-                raise NonpositiveOffDiagonal(i, j)
-    for i in range(n):
-        row_i = d[i]
-        for j in range(i + 1, n):
+    zero_diagonal_positive_rest = all(
+        row[i] == 0 and min(row) == 0 and row.count(0) == 1 for i, row in enumerate(d)
+    )
+    if not (zero_diagonal_positive_rest and list(zip(*d)) == list(map(tuple, d))):
+        for i in range(n):  # the first fault, in scan order
+            if d[i][i] != 0:
+                raise NonzeroDiagonal(i)
+            for j in range(n):
+                if d[i][j] != d[j][i]:
+                    raise AsymmetricMatrix(i, j)
+                if i != j and d[i][j] <= 0:
+                    raise NonpositiveOffDiagonal(i, j)
+    low = [min(filter(None, row), default=0) for row in d]  # least off the diagonal
+    for i, row_i in enumerate(d):
+        above = map(add, repeat(low[i]), low[i + 1 :])
+        for j in compress(range(i + 1, n), map(gt, row_i[i + 1 :], above)):
             row_j = d[j]
             if row_i[j] > min(map(add, row_i, row_j)):
                 k = next(k for k in range(n) if row_i[j] > row_i[k] + row_j[k])
@@ -115,7 +151,7 @@ def is_ultrametric(space: FiniteMetricSpace) -> bool:
     On a symmetric matrix, d(j,k) is row_k[j], so the pair (i, k) fails
     iff d(i,k) > min(max(row_i[j], row_k[j])) over all j.
     """
-    _, d = _codes(space.dist)
+    d = space._coded[1]
     for i, row_i in enumerate(d):
         for k in range(i + 1, space.n):
             if row_i[k] > min(map(max, row_i, d[k])):
@@ -136,10 +172,8 @@ def subspace(space: FiniteMetricSpace, indices: Iterable[int]) -> FiniteMetricSp
 
 
 def space_to_json_dict(space: FiniteMetricSpace) -> dict:
-    return {
-        "n": space.n,
-        "dist": [[format_rational(v) for v in row] for row in space.dist],
-    }
+    scale, rows = space._coded
+    return {"n": space.n, "dist": _formatted(rows, scale)}
 
 
 # distances, 'p/q' strings or integers, are parsed by validate_metric

@@ -6,9 +6,13 @@ points of a label matrix dx injectively into the points of a label matrix dy
 so that every pair keeps its label. Spaces pass their distance matrices,
 graphs a 0/1 adjacency matrix. Each search differs only in its cheap sound
 pre-checks and in what it hands the core: the order in which the points of
-dx are placed, and for each point the targets it may take, tried in the
-order given. The first map found is the witness, so both are part of the
-output.
+dx are placed, and for each point the targets it may take, tried in
+ascending order. The first map found is the witness, so both are part of
+the output.
+
+The space searches run on the integer codes of both spaces, brought to one
+scale (rationals._joint), so every label comparison is an int comparison
+and the witness is the one the rationals give.
 
 Graphs place their vertices in index order, with targets filtered by degree.
 Spaces place the most constrained point first: the one whose sorted
@@ -25,12 +29,16 @@ explicitly or through the DISTSET_MAX_POINTS environment variable.
 from __future__ import annotations
 
 import os
+from bisect import insort
 from collections import Counter
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .constructions import Graph
 from .errors import GuardrailExceeded
 from .metric import FiniteMetricSpace
+from .rationals import _joint
 
 DEFAULT_MAX_POINTS = 12
 
@@ -53,48 +61,73 @@ def _guard(n: int, max_points: Optional[int]) -> None:
         raise GuardrailExceeded(n, bound)
 
 
-def _first_map(dx, dy, order: Sequence[int], targets) -> Optional[tuple[int, ...]]:
+def _first_map(dx, dy, order: Sequence[int], targets: Sequence[int]) -> Optional[tuple[int, ...]]:
     """First label-preserving injection of dx into dy, or None.
 
-    Places the points of dx in order; point p tries the targets in
-    targets[p] in turn, skipping those already taken. An iterator of untried
-    targets per depth stands in for recursion, so no recursion limit applies.
+    Places the points of dx in order; point p tries the points of dy in the
+    bit mask targets[p] in ascending order, skipping those already taken.
+    When p's depth is reached, its candidates are its free targets that see
+    each placed point t's image at label dx[p][t]: one AND per placed point,
+    with each needed row of dy split into one mask per label the first time
+    it is needed. Striking out the lowest candidate and keeping the rest per
+    depth stands in for recursion, so no recursion limit applies.
     """
+    rows: dict[int, dict] = {}  # a: {label w: mask of the q with dy[a][q] == w}
     image = [0] * len(order)
-    used = [False] * len(dy)
-    untried: list = []
+    free = (1 << len(dy)) - 1
+    left: list[int] = []  # per depth, the candidates not tried yet
     depth = 0
     while depth < len(order):
         p = order[depth]
-        if depth == len(untried):
-            untried.append(iter(targets[p]))
-        row_p = dx[p]
-        placed = order[:depth]
-        for q in untried[depth]:
-            row_q = dy[q]
-            if not used[q] and all(row_q[image[t]] == row_p[t] for t in placed):
-                image[p] = q
-                used[q] = True
-                depth += 1
-                break
+        if depth == len(left):
+            row_p = dx[p]
+            candidates = targets[p] & free
+            for t in order[:depth]:
+                a = image[t]
+                if a not in rows:
+                    rows[a] = by_label = {}
+                    for q, w in enumerate(dy[a]):
+                        by_label[w] = by_label.get(w, 0) | 1 << q
+                candidates &= rows[a].get(row_p[t], 0)
+            left.append(candidates)
+        candidates = left[depth]
+        if candidates:
+            low = candidates & -candidates
+            left[depth] = candidates ^ low
+            image[p] = low.bit_length() - 1
+            free ^= low
+            depth += 1
         else:
-            untried.pop()
-            if not untried:
+            left.pop()
+            if not left:
                 return None
             depth -= 1
-            used[image[order[depth]]] = False
+            free |= 1 << image[order[depth]]
     return tuple(image)
 
 
 def _space_order(dist) -> list[int]:
-    """The points of a space, most constrained first (see the module doc)."""
+    """The points of a space, most constrained first (see the module doc).
+
+    seen[p] is the sorted list of p's distances to the points placed, kept
+    up to date by one insort per point and step. seen iterates in index
+    order and min keeps the first of equal keys, so ties go to the smallest
+    index.
+    """
+    seen: dict[int, list] = {p: [] for p in range(len(dist))}
     order: list[int] = []
-    remaining = list(range(len(dist)))
-    while remaining:
-        p = min(remaining, key=lambda p: (sorted(dist[p][q] for q in order), p))
-        remaining.remove(p)
+    while seen:
+        p, _ = min(seen.items(), key=itemgetter(1))
+        del seen[p]
         order.append(p)
+        row = dist[p]
+        for q, placed in seen.items():
+            insort(placed, row[q])
     return order
+
+
+def _mask(points) -> int:
+    return sum(1 << q for q in points)
 
 
 def _adjacency(G: Graph) -> list[list[int]]:
@@ -111,10 +144,10 @@ def find_isometry(
     _guard(max(X.n, Y.n), max_points)
     if X.n != Y.n:
         return None
-    row = lambda space, i: tuple(sorted(space.dist[i]))
-    if Counter(row(X, i) for i in range(X.n)) != Counter(row(Y, j) for j in range(Y.n)):
+    _, (dx, dy) = _joint(X._coded, Y._coded)
+    if Counter(map(tuple, map(sorted, dx))) != Counter(map(tuple, map(sorted, dy))):
         return None
-    return _first_map(X.dist, Y.dist, _space_order(X.dist), [range(Y.n)] * X.n)
+    return _first_map(dx, dy, _space_order(dx), [_mask(range(Y.n))] * X.n)
 
 
 def find_embedding(
@@ -124,13 +157,13 @@ def find_embedding(
     _guard(max(X.n, Y.n), max_points)
     if X.n > Y.n:
         return None
-    pair_counts = lambda space: Counter(
-        space.dist[i][j] for i in range(space.n) for j in range(i + 1, space.n)
-    )
-    cx, cy = pair_counts(X), pair_counts(Y)
-    if any(cy[v] < k for v, k in cx.items()):
+    _, (dx, dy) = _joint(X._coded, Y._coded)
+    # each pair's distance, counted once, over the row slices right of the diagonal
+    pairs = lambda d: Counter(chain.from_iterable(row[i + 1 :] for i, row in enumerate(d)))
+    cy = pairs(dy)
+    if any(cy[v] < k for v, k in pairs(dx).items()):
         return None
-    return _first_map(X.dist, Y.dist, _space_order(X.dist), [range(Y.n)] * X.n)
+    return _first_map(dx, dy, _space_order(dx), [_mask(range(Y.n))] * X.n)
 
 
 def graph_iso(G: Graph, H: Graph, *, max_points: Optional[int] = None) -> Optional[tuple[int, ...]]:
@@ -141,7 +174,7 @@ def graph_iso(G: Graph, H: Graph, *, max_points: Optional[int] = None) -> Option
     deg_G, deg_H = G.degrees(), H.degrees()
     if sorted(deg_G) != sorted(deg_H):
         return None
-    targets = [[q for q in range(H.n) if deg_H[q] == d] for d in deg_G]
+    targets = [_mask(q for q in range(H.n) if deg_H[q] == d) for d in deg_G]
     return _first_map(_adjacency(G), _adjacency(H), range(G.n), targets)
 
 
@@ -155,7 +188,7 @@ def graph_embed(G: Graph, H: Graph, *, max_points: Optional[int] = None) -> Opti
     if G.n > H.n or len(G.edges) > len(H.edges):
         return None
     deg_G, deg_H = G.degrees(), H.degrees()
-    targets = [[q for q in range(H.n) if deg_H[q] >= d] for d in deg_G]
+    targets = [_mask(q for q in range(H.n) if deg_H[q] >= d) for d in deg_G]
     return _first_map(_adjacency(G), _adjacency(H), range(G.n), targets)
 
 

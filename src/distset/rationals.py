@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 RationalLike = Fraction | int | str
@@ -22,6 +22,11 @@ def parse_rational(text: str) -> Fraction:
     anything that is not a string (a JSON number, say), are rejected."""
     if not isinstance(text, str):
         raise TypeError(f"expected a 'p/q' string, got {text!r}")
+    return Fraction(*_split(text))
+
+
+def _split(text: str) -> tuple[int, int]:
+    """(p, q) as written in text, q nonzero; parse_rational's errors."""
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"malformed rational {text!r}; expected 'p' or 'p/q'")
@@ -29,7 +34,7 @@ def parse_rational(text: str) -> Fraction:
     den = int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(num, den)
+    return num, den
 
 
 def format_rational(x: Fraction) -> str:
@@ -41,37 +46,80 @@ def format_rational(x: Fraction) -> str:
 
 def rat(value: RationalLike) -> Fraction:
     """Coerce ints, canonical strings, and Fractions. Floats are never accepted."""
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
+
+
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """(p, q) in lowest terms with q > 0 for what rat accepts, with rat's
+    errors, and no Fraction made."""
     if isinstance(value, bool):
         raise TypeError("bool is not a rational")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, (Fraction, int)):
+        return value.numerator, value.denominator
     if isinstance(value, str):
-        return parse_rational(value)
+        p, q = _split(value)
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        return p // g, q // g
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+# equal entries of these exact types are equal rationals; a bool or a float
+# can equal an int and still be refused
+_EXACT = frozenset({int, str, Fraction})
+
+
 def _codes(
-    rows: Sequence[Iterable[Fraction | int]], scale: int = 0
+    rows: Sequence[Iterable[RationalLike]], scale: int = 0
 ) -> tuple[int, list[list[int]]]:
     """(L, the rows times L as ints), L the lcm of every denominator in the
     rows, or the given nonzero scale, which must be a multiple of each.
 
-    Rows may differ in length and hold ints or Fractions. Scaling by L > 0
-    is strictly monotone and linear, so the codes keep every <, == and sum
-    of the rationals, and with them every triangle, Katetov and 4-values
-    verdict, every sort order, and every witness a kernel reports.
+    Rows may differ in length and hold ints, Fractions or "p/q" strings. A
+    faulty entry raises rat's error for the first fault in row-major order.
+    When there are strings, each distinct entry is read once, by _ratio, in
+    order of first appearance. Scaling by L > 0 is strictly monotone and
+    linear, so the codes keep every <, == and sum of the rationals, and with
+    them every triangle, Katetov and 4-values verdict, every sort order, and
+    every witness a kernel reports.
     """
-    scale = scale or lcm(*{v.denominator for row in rows for v in row})
-    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if not _EXACT.issuperset(kinds):
+        for value in chain.from_iterable(rows):
+            _ratio(value)
+    if str not in kinds:
+        scale = scale or lcm(*{v.denominator for row in rows for v in row})
+        return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    ratio = {v: _ratio(v) for v in dict.fromkeys(chain.from_iterable(rows))}
+    scale = scale or lcm(*(q for _, q in ratio.values()))
+    code = {v: p * (scale // q) for v, (p, q) in ratio.items()}
+    return scale, [list(map(code.__getitem__, row)) for row in rows]
+
+
+def _joint(*coded: tuple[int, Sequence[Sequence[int]]]) -> tuple[int, list]:
+    """Codes made on several scales, brought to one: (J, the rows of each
+    (L, rows) times J // L), J the lcm of the scales. Exact, as _codes."""
+    scale = lcm(*(l for l, _ in coded))
+    return scale, [
+        rows if l == scale else [list(map((scale // l).__mul__, row)) for row in rows]
+        for l, rows in coded
+    ]
+
+
+def _per_code(rows: Sequence[Sequence[int]], make) -> list[list]:
+    """The rows with each code c replaced by make(c), called once per
+    distinct code."""
+    value_of = {c: make(c) for c in set(chain.from_iterable(rows))}
+    return [list(map(value_of.__getitem__, row)) for row in rows]
 
 
 def _decoded(rows: Sequence[Sequence[int]], scale: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The inverse of _codes: the rows of codes over scale as Fractions,
-    made once per distinct code."""
-    value_of = {c: Fraction(c, scale) for c in set(chain.from_iterable(rows))}
-    return tuple(tuple(map(value_of.__getitem__, row)) for row in rows)
+    """The inverse of _codes: the rows of codes over scale as Fractions."""
+    return tuple(map(tuple, _per_code(rows, lambda c: Fraction(c, scale))))
+
+
+def _formatted(rows: Sequence[Sequence[int]], scale: int) -> list[list[str]]:
+    """The rows of codes over scale as canonical "p/q" strings."""
+    return _per_code(rows, lambda c: format_rational(Fraction(c, scale)))
 
 
 class Leaf(NamedTuple):

@@ -20,9 +20,10 @@ amalgamation for finite A-spaces, so a new point is filled greedily.
 Stage growth, the class listing, universality and the homogeneity check run
 on the integer codes of rationals._codes, which states why every comparison,
 sort order and choice is the one the rationals would give; Fractions appear
-only in their arguments and results. verify_universality codes A and U on
-one scale (U may realize distances outside A) and runs every embedding
-search, through the public find_embedding, on those codes.
+only in their arguments and results, and the spaces they return carry
+their codes. verify_universality runs every embedding search through the
+public find_embedding, which brings a class and U to one scale (U may
+realize distances outside A).
 
 The class listing grows each size from the one before: deleting a point of
 an A-space leaves one, so it extends each representative on n - 1 points by
@@ -50,8 +51,9 @@ from typing import Iterable, Optional
 from .errors import BudgetTooSmall, FourValuesFails, InvariantViolation, SpectrumNotInA
 from .metric import (
     FiniteMetricSpace,
-    _check_metric,
+    _coded_space,
     _extends,
+    _space,
     distance_spectrum,
     validate_metric,
 )
@@ -282,9 +284,7 @@ def urysohn_stage(
         log.append(new)
 
     saturated = demand is None
-    _check_metric(dist)
-    space = FiniteMetricSpace(n, _decoded(dist, scale))
-    result = StageResult(space, saturated, _decoded(log, scale))
+    result = StageResult(_space(scale, dist), saturated, _decoded(log, scale))
     if strict and not saturated:
         raise BudgetTooSmall(result)
     return result
@@ -332,7 +332,7 @@ def enumerate_spaces_up_to_isometry(A: Iterable[Fraction], max_size: int) -> lis
         reps.extend(level)
     # one decode for all classes: a Fraction per distinct code, not per class
     rows = iter(_decoded([row for dist in reps for row in dist], scale))
-    return [FiniteMetricSpace(len(dist), tuple(islice(rows, len(dist)))) for dist in reps]
+    return [_coded_space(scale, dist, tuple(islice(rows, len(dist)))) for dist in reps]
 
 
 def verify_universality(
@@ -342,14 +342,9 @@ def verify_universality(
 
     Returns (True, None) or (False, missing-space).
     """
-    values = set(A)
-    # U may realize distances outside A: one scale codes both
-    scale, (_, *u_rows) = _codes([values, *U.dist])
-    coded_U = FiniteMetricSpace(U.n, u_rows)
     cap = max(U.n, s)
-    for space in enumerate_spaces_up_to_isometry(values, s):
-        coded = FiniteMetricSpace(space.n, _codes(space.dist, scale)[1])
-        if find_embedding(coded, coded_U, max_points=cap) is None:
+    for space in enumerate_spaces_up_to_isometry(A, s):
+        if find_embedding(space, U, max_points=cap) is None:
             return False, space
     return True, None
 
@@ -365,7 +360,7 @@ def verify_one_point_homogeneity(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _, d = _codes(U.dist)
+    d = U._coded[1]
     for j in range(1, k + 1):
         groups: dict = {}
         for tup in permutations(range(U.n), j):

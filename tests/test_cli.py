@@ -5,6 +5,7 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, strategies as st
 
 from distset import __version__
 from distset import cli
@@ -578,3 +579,22 @@ def test_reduce_reports_a_bad_space_with_its_own_loader(capsys, tmp_path):
     )
     code, out, err = run(capsys, "reduce", "isometry", "isometry", "--input", src)
     assert (code, out, err) == (2, "", "error: matrix file: 'n' must be an integer\n")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@given(JSON_VALUES)
+def test_writer_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [[], {}, [[]], ["a", "b"], [1, 2], [1, "a"], [True, 1], {"k": [0, "0"]}, [[1, 2], [3]]]
+)
+def test_writer_matches_json_dumps_on_edge_shapes(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)

@@ -1,5 +1,6 @@
 """Matrix validation, spectra, ultrametric checks, subspaces, JSON shape."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from distset.errors import (
     TriangleViolation,
 )
 from distset.metric import (
+    FiniteMetricSpace,
     distance_spectrum,
     is_ultrametric,
     space_from_json_dict,
@@ -22,6 +24,7 @@ from distset.metric import (
     subspace,
     validate_metric,
 )
+from distset.oracles import find_embedding, find_isometry
 
 
 def test_validate_accepts_mixed_exact_inputs():
@@ -219,3 +222,35 @@ def test_positive_scaling_keeps_validation_outcome(rows, q):
     else:
         assert isinstance(scaled, type(got))
         assert is_ultrametric(scaled) == is_ultrametric(got)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    doubling_window_matrix(),
+    doubling_window_matrix(),
+    st.data(),
+    st.builds(Fraction, st.integers(1, 60), st.integers(1, 60)),
+)
+def test_positive_scaling_keeps_oracle_witnesses(case, other, data, q):
+    # The oracles compare codes of both spaces on one scale: multiplying
+    # every distance of both by q > 0 changes no verdict and no witness.
+    rows, _ = case
+    Y = validate_metric(rows)
+    picked = data.draw(st.permutations(range(Y.n)))[: data.draw(st.integers(1, Y.n))]
+    X = validate_metric([[rows[a][b] for b in picked] for a in picked])  # a piece of Y
+    Z = validate_metric(other[0])
+
+    def scaled(S):
+        return validate_metric([[v * q for v in row] for row in S.dist])
+
+    for A, B in ((X, Y), (Y, X), (Z, Y), (Y, Z)):
+        assert find_isometry(scaled(A), scaled(B)) == find_isometry(A, B)
+        assert find_embedding(scaled(A), scaled(B)) == find_embedding(A, B)
+
+
+def test_codes_leave_equality_hash_repr_and_fields_alone():
+    X = validate_metric([[0, "1/2"], ["2/4", 0]])
+    Y = FiniteMetricSpace(2, ((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(0))))
+    assert X == Y and hash(X) == hash(Y) and repr(X) == repr(Y)
+    assert [f.name for f in fields(FiniteMetricSpace)] == ["n", "dist"]
+    assert X._coded == Y._coded == (2, [[0, 1], [1, 0]])  # Y is coded on first use

@@ -1,6 +1,8 @@
 """Backtracking oracles and the reduction certificate checker."""
 
 import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -214,3 +216,19 @@ def test_verify_reduction_reports_first_counterexample():
     assert result["counterexample"] == 0
     assert result["pairs"][0] == {"pair": 0, "R": True, "S": False, "ok": False}
     assert result["pairs"][1]["ok"] is True
+
+
+def test_self_isometry_of_a_200_point_space_takes_under_half_a_second():
+    # The space order updates each point's sorted distances by one insort
+    # per step, and the core keeps candidate sets as bit masks; re-sorting
+    # every key at every step took seconds at this size.
+    rng = random.Random(200)
+    n = 200
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        den = rng.choice((1, 2, 3))
+        rows[i][j] = rows[j][i] = Fraction(rng.randint(10 * den, 20 * den), den)
+    X = validate_metric(rows)
+    started = time.perf_counter()
+    assert find_isometry(X, X, max_points=n) == tuple(range(n))
+    assert time.perf_counter() - started < 0.5

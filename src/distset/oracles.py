@@ -85,9 +85,7 @@ def _first_map(dx, dy, order: Sequence[int], targets: Sequence[int]) -> Optional
             for t in order[:depth]:
                 a = image[t]
                 if a not in rows:
-                    rows[a] = by_label = {}
-                    for q, w in enumerate(dy[a]):
-                        by_label[w] = by_label.get(w, 0) | 1 << q
+                    rows[a] = _label_masks(dy[a])
                 candidates &= rows[a].get(row_p[t], 0)
             left.append(candidates)
         candidates = left[depth]
@@ -128,6 +126,14 @@ def _space_order(dist) -> list[int]:
 
 def _mask(points) -> int:
     return sum(1 << q for q in points)
+
+
+def _label_masks(row) -> dict:
+    """{label w: the bit mask of the q with row[q] == w}."""
+    masks: dict = {}
+    for q, w in enumerate(row):
+        masks[w] = masks.get(w, 0) | 1 << q
+    return masks
 
 
 def _adjacency(G: Graph) -> list[list[int]]:

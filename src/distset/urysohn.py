@@ -17,13 +17,17 @@ only strikes out the patterns of the points added since the last one. Every
 demand it finds is met: A passes the 4-values condition, which is
 amalgamation for finite A-spaces, so a new point is filled greedily.
 
+A stage also keeps one index, at[t][a]: the bit mask of the points at
+distance code a from point t (the row's oracles._label_masks). A new point
+sets one bit per old point and brings its own row, and the completion reads
+how many points see a pair (u, t) at labels (a, b) as the bit count of
+at[u][a] & at[t][b].
+
 Stage growth, the class listing, universality and the homogeneity check run
 on the integer codes of rationals._codes, which states why every comparison,
 sort order and choice is the one the rationals would give; Fractions appear
 only in their arguments and results, and the spaces they return carry
-their codes. verify_universality runs every embedding search through the
-public find_embedding, which brings a class and U to one scale (U may
-realize distances outside A).
+their codes.
 
 The class listing grows each size from the one before: deleting a point of
 an A-space leaves one, so it extends each representative on n - 1 points by
@@ -34,18 +38,29 @@ The keys are sorted because a lex-ordered product over all slot tuples (the
 test reference) meets each class first at exactly its key, in key order; so
 the representatives, their order, and the first missing space that
 verify_universality reports are the same.
+
+verify_universality walks the listing as a tree. Each class records the
+parent and the tuple g it was first met from, and the relabeling that reads
+its key off that extension; A and U go to one scale (U may realize
+distances outside A), and U gets the index above. A class embeds as its
+parent's image plus the lowest point of U at distance g[k] from the image
+of the parent's point k for every k: one AND of masks. Only when no point
+is does the public find_embedding search; a parent's other images may still
+extend, so its None alone marks a class missing, and classes are decided in
+listing order, so the verdict and the missing space are those of one search
+per class. On a stage saturated at the level the parent's image spans the
+AND is never empty (Katětov), so only unsaturated stages search.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import chain, combinations, islice, permutations, product, repeat
 from math import lcm
-from operator import add, itemgetter, sub
+from operator import add, and_, itemgetter, sub
 from typing import Iterable, Optional
 
 from .errors import BudgetTooSmall, FourValuesFails, InvariantViolation, SpectrumNotInA
@@ -57,8 +72,8 @@ from .metric import (
     distance_spectrum,
     validate_metric,
 )
-from .oracles import find_embedding
-from .rationals import _codes, _decoded
+from .oracles import _label_masks, find_embedding
+from .rationals import _codes, _decoded, _joint
 
 ZERO = Fraction(0)
 
@@ -168,38 +183,31 @@ def _first_unmet_demand(dist, n: int, positive, j_max: int, frontier: dict, acce
     return None
 
 
-def _add_point(dist, multiplicity: Counter, new: list[int]) -> None:
-    """Adjoin a point at distances new, counting the pair patterns it adds.
-
-    multiplicity[(u, t, a, b)] counts the points w other than u < t with
-    d(w, u) = a and d(w, t) = b. The new point p adds one pattern to every
-    old pair and creates the pairs (u, p); no other count changes. The keys
-    are zipped row by row and counted at C level.
-    """
-    p = len(dist)
-    multiplicity.update(chain.from_iterable(
-        zip(repeat(u), range(u + 1, p), repeat(new[u]), new[u + 1 :]) for u in range(p)
-    ))
-    # d(w, u) is row u at w, d being symmetric; w runs over the old points but u
-    multiplicity.update(chain.from_iterable(
-        zip(repeat(u), repeat(p), dist[u][:u] + dist[u][u + 1 :], new[:u] + new[u + 1 :])
-        for u in range(p)
-    ))
-    for i in range(p):
-        dist[i].append(new[i])
+def _add_point(dist, at: list, new: list[int]) -> None:
+    """Adjoin a point at distances new, keeping the index at (see the module
+    doc): the point sets its bit in one mask per old point and brings its
+    own row's masks; no other mask changes."""
+    bit = 1 << len(dist)
+    for t, a in enumerate(new):
+        at[t][a] = at[t].get(a, 0) | bit
+        dist[t].append(a)
     dist.append(new + [0])
+    at.append(_label_masks(dist[-1]))
 
 
-def _complete_new_point(dist, n: int, positive, multiplicity: Counter, subset, g) -> list | None:
+def _complete_new_point(dist, at: list, n: int, positive, subset, g) -> list | None:
     """Distances of a new point realizing g over subset, or None.
 
     Free coordinates are filled in index order, so when u is filled the
     placed points are the ones below u and the subset's above it. v is
     admissible for u iff |d(u, t) - new[t]| <= v <= d(u, t) + new[t] for each
     placed t: one interval, None if it holds no value. u takes the admissible
-    value whose pair patterns are rarest now (weight lcm(1, ..., n) // (1 +
-    multiplicity) per pair), ties to the smallest: an unmet-only count lets
-    one value flood the space, and pair demands then regenerate forever.
+    value whose pair patterns are rarest now, ties to the smallest: an
+    unmet-only count lets one value flood the space, and pair demands then
+    regenerate forever. The pair (u, t) weighs lcm(1, ..., n) // (1 + m),
+    m the number of points w with d(w, u) = v and d(w, t) = new[t], which is
+    the bit count of at[u][v] & at[t][new[t]]; both labels are positive, so
+    neither u nor t is among them.
 
     No choice is undone: the placed values form a one-point extension of the
     placed points that no point realizes (it would realize g, which is
@@ -215,23 +223,23 @@ def _complete_new_point(dist, n: int, positive, multiplicity: Counter, subset, g
 
     for u in sorted(set(range(n)) - set(subset)):
         above = [s for s in subset if s > u]
-        at_below = new[:u]
-        at_above = [new[t] for t in above]
         d_placed = dist[u][:u] + [dist[u][t] for t in above]
-        at_placed = at_below + at_above
+        at_placed = new[:u] + [new[t] for t in above]
         lo = max(map(abs, map(sub, d_placed, at_placed)))
         hi = min(map(add, d_placed, at_placed))
+        admissible = positive[bisect_left(positive, lo) : bisect_right(positive, hi)]
+        if len(admissible) < 2:
+            if not admissible:
+                return None
+            new[u] = admissible[0]
+            continue
+        seen = list(map(dict.get, at[:u] + [at[t] for t in above], at_placed, repeat(0)))
+        masks = at[u]
 
         def coverage(v: int) -> int:
-            keys = chain(
-                zip(range(u), repeat(u), at_below, repeat(v)),
-                zip(repeat(u), above, repeat(v), at_above),
-            )
-            return sum(map(weight.__getitem__, map(multiplicity.get, keys, repeat(0))))
+            pairs = map(int.bit_count, map(masks.get(v, 0).__and__, seen))
+            return sum(map(weight.__getitem__, pairs))
 
-        admissible = positive[bisect_left(positive, lo) : bisect_right(positive, hi)]
-        if not admissible:
-            return None
         new[u] = min(admissible, key=lambda v: (-coverage(v), v))
     return new
 
@@ -267,7 +275,7 @@ def urysohn_stage(
     dist: list[list[int]] = [[0]]
     n = 1
     log: list[list[int]] = []
-    multiplicity: Counter = Counter()
+    at: list[dict] = [{0: 1}]  # _label_masks of each row
     frontier: dict = {}
     accepted: dict = {}
 
@@ -275,11 +283,11 @@ def urysohn_stage(
         n < size_budget
     ):
         subset, g = demand
-        new = _complete_new_point(dist, n, positive, multiplicity, subset, g)
+        new = _complete_new_point(dist, at, n, positive, subset, g)
         if new is None:
             g_values = ", ".join(map(str, _decoded([g], scale)[0]))
             raise InvariantViolation(f"no point over A realizes g = ({g_values}) on {subset}")
-        _add_point(dist, multiplicity, new)
+        _add_point(dist, at, new)
         n += 1
         log.append(new)
 
@@ -292,11 +300,12 @@ def urysohn_stage(
 
 @cache
 def _relabelings(n: int) -> tuple:
-    """One getter per relabeling p of n >= 3 points, reading a flattened
-    n x n matrix at (p[i], p[j]) for each upper-triangle slot (i, j)."""
+    """One (p, getter) per relabeling p of n >= 3 points; the getter reads a
+    flattened n x n matrix at (p[i], p[j]) for each upper-triangle slot
+    (i, j)."""
     slots = list(combinations(range(n), 2))
     return tuple(
-        itemgetter(*(p[i] * n + p[j] for i, j in slots)) for p in permutations(range(n))
+        (p, itemgetter(*(p[i] * n + p[j] for i, j in slots))) for p in permutations(range(n))
     )
 
 
@@ -306,7 +315,45 @@ def _canonical_key(dist) -> tuple:
     if n <= 2:  # one slot at most: itemgetter would return a scalar
         return tuple(dist[i][j] for i, j in combinations(range(n), 2))
     flat = list(chain.from_iterable(dist))
-    return min(get(flat) for get in _relabelings(n))
+    return min(get(flat) for _, get in _relabelings(n))
+
+
+def _relabeling(dist, key: tuple) -> tuple:
+    """The first relabeling p whose slot tuple of dist is key."""
+    n = len(dist)
+    if n <= 2:
+        return tuple(range(n))
+    flat = list(chain.from_iterable(dist))
+    return next(p for p, get in _relabelings(n) if get(flat) == key)
+
+
+def _class_levels(positive: list, max_size: int):
+    """The class listing, one size at a time from 1 to max_size: a list of
+    (rows, parent, g, p) per class in key order.
+
+    rows is the representative, read off its key. It is first met as the
+    extension E of representative number parent of the size before by the
+    value tuple g, and E at (p[i], p[j]) is rows at (i, j).
+    """
+    level: list = [[]]  # the empty space, whose one extension is the point
+    for n in range(1, max_size + 1):
+        first: dict = {}
+        for parent, dist in enumerate(level):
+            for g in product(positive, repeat=n - 1):
+                if _extends(dist, range(n - 1), g):
+                    ext = [row + [g[i]] for i, row in enumerate(dist)] + [[*g, 0]]
+                    key = _canonical_key(ext)
+                    if key not in first:
+                        first[key] = parent, g, ext
+        classes = []
+        for key in sorted(first):
+            parent, g, ext = first[key]
+            rows = [[0] * n for _ in range(n)]
+            for (i, j), v in zip(combinations(range(n), 2), key):
+                rows[i][j] = rows[j][i] = v
+            classes.append((rows, parent, g, _relabeling(ext, key)))
+        yield classes
+        level = [rows for rows, *_ in classes]
 
 
 def enumerate_spaces_up_to_isometry(A: Iterable[Fraction], max_size: int) -> list[FiniteMetricSpace]:
@@ -314,25 +361,36 @@ def enumerate_spaces_up_to_isometry(A: Iterable[Fraction], max_size: int) -> lis
     isometry class, smallest first."""
     scale, (codes,) = _codes([sorted(set(A))])
     positive = [c for c in codes if c > 0]
-    level: list = [[]]  # the empty space, whose one extension is the point
-    reps: list = []
-    for n in range(1, max_size + 1):
-        keys = {
-            _canonical_key([row + [g[i]] for i, row in enumerate(dist)] + [[*g, 0]])
-            for dist in level
-            for g in product(positive, repeat=n - 1)
-            if _extends(dist, range(n - 1), g)
-        }
-        level = []
-        for key in sorted(keys):
-            rows = [[0] * n for _ in range(n)]
-            for (i, j), v in zip(combinations(range(n), 2), key):
-                rows[i][j] = rows[j][i] = v
-            level.append(rows)
-        reps.extend(level)
+    reps = [rows for level in _class_levels(positive, max_size) for rows, *_ in level]
     # one decode for all classes: a Fraction per distinct code, not per class
     rows = iter(_decoded([row for dist in reps for row in dist], scale))
     return [_coded_space(scale, dist, tuple(islice(rows, len(dist)))) for dist in reps]
+
+
+def _class_embeddings(U: FiniteMetricSpace, A: Iterable[Fraction], s: int):
+    """(scale, rows, image) per class of the listing up to s points, in its
+    order (see the module doc): the representative's rows on the joint scale
+    of A and U, and an embedding into U as an index tuple, or None, after
+    which it stops."""
+    cap = max(U.n, s)
+    scale, ((codes,), d) = _joint(_codes([sorted(set(A))]), U._coded)
+    at = list(map(_label_masks, d))
+    everyone = (1 << U.n) - 1
+    images: list = [()]
+    for level in _class_levels([c for c in codes if c > 0], s):
+        parents, images = images, []
+        for rows, parent, g, p in level:
+            base = parents[parent]
+            hits = reduce(and_, map(dict.get, map(at.__getitem__, base), g, repeat(0)), everyone)
+            if hits:
+                ext = (*base, (hits & -hits).bit_length() - 1)
+                image = tuple(map(ext.__getitem__, p))
+            else:
+                image = find_embedding(_coded_space(scale, rows), U, max_points=cap)
+            yield scale, rows, image
+            if image is None:
+                return
+            images.append(image)
 
 
 def verify_universality(
@@ -342,10 +400,9 @@ def verify_universality(
 
     Returns (True, None) or (False, missing-space).
     """
-    cap = max(U.n, s)
-    for space in enumerate_spaces_up_to_isometry(A, s):
-        if find_embedding(space, U, max_points=cap) is None:
-            return False, space
+    for scale, rows, image in _class_embeddings(U, A, s):
+        if image is None:
+            return False, _coded_space(scale, rows)
     return True, None
 
 

@@ -13,14 +13,22 @@ Fractions and on the integer codes a stage passes it.
 Stages too large for the Fraction pipeline (budgets up to 150, twenty
 seeded sets at budgets 20-60, and twenty-four with 4-9 positive values at
 budgets 20-40) are replayed with the integer kernels that came before the
-unmet-demand frontier and the greedy completion, patched into urysohn_stage:
-the scan that rebuilds every subset's realized patterns, the per-key pair
-counts and the depth-first completion. Over a set that passes the 4-values
-check that search never backtracks, so both must pick the same values; with
-the check patched out, a set that fails it must raise InvariantViolation.
-Canonical keys, the universality coding of a U with distances outside A,
-and the homogeneity patterns are compared with their references on their
-own.
+unmet-demand frontier and the greedy completion, patched into the
+reference's copy of urysohn_stage: the scan that rebuilds every subset's
+realized patterns, the per-key pair counts and the depth-first completion.
+Over a set that passes the 4-values check that search never backtracks, so
+both must pick the same values; with the check patched out, a set that
+fails it must raise InvariantViolation. The same stages and a thousand more
+(3-9 values, budgets 10-60, bounds 1-4) are compared with the Counter pair
+counts the growth index replaced. Canonical keys, the universality coding
+of a U with distances outside A, and the homogeneity patterns are compared
+with their references on their own.
+
+Universality along the class tree is compared with the reference on every
+large stage at s = 1-4 and on shapes the stages miss: a U where the tree's
+extension fails but find_embedding finds a map, a U with distances outside
+A or on another scale, and s > U.n; every image the tree records must keep
+distances. A saturated stage never calls find_embedding; a failing one does.
 """
 
 import itertools
@@ -35,6 +43,7 @@ import distset.urysohn as urysohn
 import urysohn_reference as ref
 from distset.errors import InvariantViolation
 from distset.metric import FiniteMetricSpace, subspace, validate_metric
+from distset.oracles import find_embedding
 from distset.rationals import _codes
 from distset.urysohn import (
     _canonical_key,
@@ -214,17 +223,17 @@ LARGE_CASES = (
 
 
 def _int_reference_stage(monkeypatch, values, budget, eb, hb):
-    """urysohn_stage run on the integer kernels it had before the frontier
-    and the greedy completion."""
+    """The stage on the integer kernels it had before the frontier and the
+    greedy completion, driven by the reference's copy of urysohn_stage."""
 
     def rescan(dist, n, positive, j_max, *frontier):
         return ref.int_first_unmet_demand(dist, n, positive, j_max, set())
 
     with monkeypatch.context() as m:
-        m.setattr(urysohn, "_first_unmet_demand", rescan)
-        m.setattr(urysohn, "_add_point", ref.int_add_point)
-        m.setattr(urysohn, "_complete_new_point", ref.int_complete_new_point)
-        return urysohn_stage(values, budget, eb, hb)
+        m.setattr(ref, "first_unmet_demand", rescan)
+        m.setattr(ref, "counter_add_point", ref.int_add_point)
+        m.setattr(ref, "counter_complete_new_point", ref.int_complete_new_point)
+        return ref.counter_urysohn_stage(values, budget, eb, hb)
 
 
 @cache
@@ -334,3 +343,146 @@ def test_universality_on_a_superset_stage_matches_reference(case):
     A = frozenset(sorted(values)[:drop]) | {max(values)}
     U = urysohn_stage(values, budget, 3, 1).space
     assert verify_universality(U, A, s) == ref.verify_universality(U, A, s)
+
+
+# --- the growth index against the Counter pair counts ----------------------------
+
+
+def _seeded_stages(count: int, seed: int = 20181021) -> list:
+    """count seeded stages over 3-9 values that pass the 4-values check (on
+    the int codes v * 42), at budgets 10-60 and both bounds 1-4."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        size = rng.randint(3, 9)
+        values = {Fraction(0)}
+        while len(values) < size:
+            values.add(Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 7))))
+        if four_values_check({int(v * 42) for v in values})[0]:
+            cases.append((frozenset(values), rng.randint(10, 60), rng.randint(1, 4), rng.randint(1, 4)))
+    return cases
+
+
+SEEDED_STAGES = _seeded_stages(1000)
+CHUNK = 50
+
+
+def test_seeded_stages_cover_the_stated_ranges():
+    assert {len(values) for values, *_ in SEEDED_STAGES} == set(range(3, 10))
+    assert {budget for _, budget, _, _ in SEEDED_STAGES} == set(range(10, 61))
+    assert {eb for *_, eb, _ in SEEDED_STAGES} == {hb for *_, hb in SEEDED_STAGES} == {1, 2, 3, 4}
+
+
+def _assert_same_stage(got, case):
+    want = ref.counter_urysohn_stage(*case)
+    assert got.log == want.log
+    assert got.saturated == want.saturated
+    assert got.space == want.space
+
+
+@pytest.mark.parametrize("case", range(len(LARGE_CASES)))
+def test_indexed_stage_matches_counter_reference(case):
+    _assert_same_stage(_large_stage(case), LARGE_CASES[case])
+
+
+@pytest.mark.parametrize("chunk", range(len(SEEDED_STAGES) // CHUNK))
+def test_indexed_stage_matches_counter_reference_on_seeded_stages(chunk):
+    for case in SEEDED_STAGES[chunk * CHUNK : (chunk + 1) * CHUNK]:
+        _assert_same_stage(urysohn_stage(*case), case)
+
+
+# --- universality along the class tree --------------------------------------------
+
+# a space over {0, 1, 2} where the tree places the pair at 1 on points 0 and
+# 1, from which no point is at 1 and 2; the path 1, 1, 2 still embeds, on
+# (1, 0, 3), and the class (1, 2, 2) is missing
+DETOUR = validate_metric([[0, 1, 1, 2], [1, 0, 1, 1], [1, 1, 0, 1], [2, 1, 1, 0]])
+ZERO_ONE_TWO = frozenset(map(Fraction, (0, 1, 2)))
+
+
+def _halves():
+    return urysohn_stage(frozenset(Fraction(v, 2) for v in range(5)), 40, 3, 2).space
+
+
+def _large(case: int):
+    return lambda: _large_stage(case).space
+
+
+# (a thunk for U, A, s); stages are grown when a test runs, not at collection
+UNIVERSALITY_TREE_CASES = [
+    (_large(case), LARGE_CASES[case][0], s) for case in range(len(LARGE_CASES)) for s in (1, 2, 3, 4)
+] + [
+    (lambda: DETOUR, ZERO_ONE_TWO, 3),
+    (_large(3), frozenset(map(Fraction, (0, 1, 3))), 3),  # U over {0, 1, 3, 7} realizes 7
+    (_large(3), frozenset(map(Fraction, (0, 3, 7))), 4),
+    (_halves, ZERO_ONE_TWO, 3),  # A on scale 1, U on scale 2
+    (_halves, frozenset(map(Fraction, ("0", "1/3", "1/2", "1"))), 2),
+    (lambda: validate_metric([[0, 1], [1, 0]]), frozenset(map(Fraction, (0, 1))), 3),  # s > U.n
+]
+
+
+def _reference_universality(U, A, s):
+    """ref.verify_universality, or where its brute-force listing of all
+    |A|^(s(s-1)/2) matrices takes minutes (s = 4 past 3 positive values),
+    the listing by one-point extension that the class tree replaced."""
+    if s <= 3 or len(A) <= 4:
+        return ref.verify_universality(U, A, s)
+    return ref.listing_verify_universality(U, A, s)
+
+
+@pytest.mark.parametrize("case", range(len(UNIVERSALITY_TREE_CASES)))
+def test_universality_tree_matches_reference(case):
+    space, A, s = UNIVERSALITY_TREE_CASES[case]
+    U = space()
+    assert verify_universality(U, A, s) == _reference_universality(U, A, s)
+    for scale, rows, image in urysohn._class_embeddings(U, A, s):
+        if image is not None:
+            assert len(set(image)) == len(image)
+            for i, j in itertools.combinations(range(len(rows)), 2):
+                assert U.dist[image[i]][image[j]] == Fraction(rows[i][j], scale)
+
+
+def _counted_fallback(monkeypatch) -> list:
+    """The results of the find_embedding calls urysohn makes from now on."""
+    results = []
+
+    def counted(*args, **kwargs):
+        results.append(find_embedding(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(urysohn, "find_embedding", counted)
+    return results
+
+
+def test_the_fallback_finds_a_map_the_tree_misses(monkeypatch):
+    fallback = _counted_fallback(monkeypatch)
+    ok, missing = verify_universality(DETOUR, ZERO_ONE_TWO, 3)
+    assert fallback == [(1, 0, 3), None]
+    assert not ok and missing == validate_metric([[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+
+
+SATURATED = {
+    "0-1-3-7_to_27": (LARGE_CASES[3], 27),
+    "0-1-3_to_16": ((frozenset(map(Fraction, (0, 1, 3))), 60, 3, 3), 16),
+}
+
+
+@pytest.mark.parametrize("name", SATURATED)
+def test_a_saturated_stage_never_falls_back(name, monkeypatch):
+    # Katetov: the parent's image is a subset of at most embed_bound - 1
+    # points, and a saturated stage realizes every extension over it
+    (values, budget, eb, hb), size = SATURATED[name]
+    stage = urysohn_stage(values, budget, eb, hb)
+    assert stage.saturated and stage.space.n == size
+    fallback = _counted_fallback(monkeypatch)
+    assert verify_universality(stage.space, values, eb) == (True, None)
+    assert fallback == []
+
+
+def test_a_failing_embed4_stage_falls_back(monkeypatch):
+    values = frozenset(map(Fraction, (0, 1, 2, 5)))
+    stage = urysohn_stage(values, 20, 4, 2)
+    fallback = _counted_fallback(monkeypatch)
+    ok, missing = verify_universality(stage.space, values, 4)
+    assert not ok and missing.n == 4
+    assert fallback and fallback[-1] is None

@@ -13,20 +13,29 @@ distset.urysohn used before its unmet-demand frontier, C-level pair counts,
 greedy interval completion and itemgetter keys, verbatim:
 int_first_unmet_demand rebuilds every subset's realized patterns on every
 scan, and int_complete_new_point fills the free coordinates by depth-first
-search. They are patched into distset.urysohn.urysohn_stage to replay stages
-too large for the Fraction pipeline.
+search. They are patched into counter_urysohn_stage to replay stages too
+large for the Fraction pipeline.
+
+counter_urysohn_stage is distset.urysohn's stage before the growth index:
+the pair counts are a Counter of (u, t, a, b) keys. The listing_ pair is its
+universality check before the class tree: every class through find_embedding.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, islice, permutations, product, repeat
 from math import lcm
+from operator import add, sub
 from typing import Iterable, Optional
 
-from distset.errors import FourValuesFails
-from distset.metric import FiniteMetricSpace, _extends, validate_metric
+import distset.urysohn as urysohn
+from distset.errors import BudgetTooSmall, FourValuesFails, InvariantViolation
+from distset.metric import FiniteMetricSpace, _coded_space, _extends, _space, validate_metric
 from distset.oracles import find_embedding, find_isometry
+from distset.rationals import _codes, _decoded
 from distset.urysohn import StageResult
 
 ZERO = Fraction(0)
@@ -339,3 +348,186 @@ def int_canonical_key(dist) -> tuple:
     return min(
         tuple(dist[p[i]][p[j]] for i, j in slots) for p in permutations(range(len(dist)))
     )
+
+
+# --- the stage kernels before the growth index ----------------------------------
+# distset.urysohn's Counter-keyed pair counts, verbatim but for the names:
+# counter_urysohn_stage is urysohn_stage; it calls distset.urysohn's
+# four_values_check (the Fraction loop above is too slow for a thousand
+# stages) and finds its demands through the module attribute
+# first_unmet_demand, the frontier scan distset.urysohn still uses, so a test
+# can put int_first_unmet_demand's rescan in its place.
+
+first_unmet_demand = urysohn._first_unmet_demand
+
+
+def counter_add_point(dist, multiplicity: Counter, new: list[int]) -> None:
+    """Adjoin a point at distances new, counting the pair patterns it adds.
+
+    multiplicity[(u, t, a, b)] counts the points w other than u < t with
+    d(w, u) = a and d(w, t) = b. The new point p adds one pattern to every
+    old pair and creates the pairs (u, p); no other count changes. The keys
+    are zipped row by row and counted at C level.
+    """
+    p = len(dist)
+    multiplicity.update(chain.from_iterable(
+        zip(repeat(u), range(u + 1, p), repeat(new[u]), new[u + 1 :]) for u in range(p)
+    ))
+    # d(w, u) is row u at w, d being symmetric; w runs over the old points but u
+    multiplicity.update(chain.from_iterable(
+        zip(repeat(u), repeat(p), dist[u][:u] + dist[u][u + 1 :], new[:u] + new[u + 1 :])
+        for u in range(p)
+    ))
+    for i in range(p):
+        dist[i].append(new[i])
+    dist.append(new + [0])
+
+
+def counter_complete_new_point(dist, n: int, positive, multiplicity: Counter, subset, g) -> list | None:
+    """Distances of a new point realizing g over subset, or None.
+
+    Free coordinates are filled in index order, so when u is filled the
+    placed points are the ones below u and the subset's above it. v is
+    admissible for u iff |d(u, t) - new[t]| <= v <= d(u, t) + new[t] for each
+    placed t: one interval, None if it holds no value. u takes the admissible
+    value whose pair patterns are rarest now (weight lcm(1, ..., n) // (1 +
+    multiplicity) per pair), ties to the smallest: an unmet-only count lets
+    one value flood the space, and pair demands then regenerate forever.
+
+    No choice is undone: the placed values form a one-point extension of the
+    placed points that no point realizes (it would realize g, which is
+    unmet), and the 4-values condition is amalgamation for finite A-spaces
+    (Sauer), so the extension reaches all n points.
+    """
+    new = [None] * n
+    for s, v in zip(subset, g):
+        new[s] = v
+
+    scale = lcm(*range(1, n + 1))
+    weight = [scale // (1 + m) for m in range(n)]
+
+    for u in sorted(set(range(n)) - set(subset)):
+        above = [s for s in subset if s > u]
+        at_below = new[:u]
+        at_above = [new[t] for t in above]
+        d_placed = dist[u][:u] + [dist[u][t] for t in above]
+        at_placed = at_below + at_above
+        lo = max(map(abs, map(sub, d_placed, at_placed)))
+        hi = min(map(add, d_placed, at_placed))
+
+        def coverage(v: int) -> int:
+            keys = chain(
+                zip(range(u), repeat(u), at_below, repeat(v)),
+                zip(repeat(u), above, repeat(v), at_above),
+            )
+            return sum(map(weight.__getitem__, map(multiplicity.get, keys, repeat(0))))
+
+        admissible = positive[bisect_left(positive, lo) : bisect_right(positive, hi)]
+        if not admissible:
+            return None
+        new[u] = min(admissible, key=lambda v: (-coverage(v), v))
+    return new
+
+
+def counter_urysohn_stage(
+    A: Iterable[Fraction],
+    size_budget: int,
+    embed_bound: int,
+    homog_bound: int,
+    *,
+    strict: bool = False,
+) -> StageResult:
+    """Grow a deterministic saturation stage over the finite set A.
+
+    Demands are one-point extension patterns over subsets of size below
+    embed_bound or up to homog_bound; processing order is (subset size,
+    subset, value tuple), all lex. Returns the space, a saturation flag, and
+    the replay log of adjoined value tuples. With strict=True an unsaturated
+    stage raises BudgetTooSmall instead; the exception carries the result.
+    """
+    values = set(A)
+    scale, (codes,) = _codes([sorted(values)])
+    ok, witness = urysohn.four_values_check(codes)
+    if not ok:
+        raise FourValuesFails(_decoded([witness], scale)[0])
+    if ZERO not in values:
+        raise ValueError("the distance set must contain 0")
+    if size_budget < 1 or embed_bound < 1 or homog_bound < 1:
+        raise ValueError("budgets and bounds must be >= 1")
+
+    positive = [c for c in codes if c > 0]
+    j_max = max(embed_bound - 1, homog_bound)
+    dist: list[list[int]] = [[0]]
+    n = 1
+    log: list[list[int]] = []
+    multiplicity: Counter = Counter()
+    frontier: dict = {}
+    accepted: dict = {}
+
+    while (demand := first_unmet_demand(dist, n, positive, j_max, frontier, accepted)) and (
+        n < size_budget
+    ):
+        subset, g = demand
+        new = counter_complete_new_point(dist, n, positive, multiplicity, subset, g)
+        if new is None:
+            g_values = ", ".join(map(str, _decoded([g], scale)[0]))
+            raise InvariantViolation(f"no point over A realizes g = ({g_values}) on {subset}")
+        counter_add_point(dist, multiplicity, new)
+        n += 1
+        log.append(new)
+
+    saturated = demand is None
+    result = StageResult(_space(scale, dist), saturated, _decoded(log, scale))
+    if strict and not saturated:
+        raise BudgetTooSmall(result)
+    return result
+
+
+# --- the class listing before the class tree ------------------------------------
+# distset.urysohn's listing and universality check before the tree walk,
+# verbatim but for the names and the canonical key, which is int_canonical_key
+# (equal to the itemgetter key it replaced: test_canonical_key_matches_brute_force).
+# The Fraction listing above tries all |A|^(s(s-1)/2) matrices, minutes at
+# s = 4 past 3 positive values; this one extends the classes of the size before.
+
+
+def listing_enumerate_spaces_up_to_isometry(
+    A: Iterable[Fraction], max_size: int
+) -> list[FiniteMetricSpace]:
+    """All spaces with distances in A on at most max_size points, one per
+    isometry class, smallest first."""
+    scale, (codes,) = _codes([sorted(set(A))])
+    positive = [c for c in codes if c > 0]
+    level: list = [[]]  # the empty space, whose one extension is the point
+    reps: list = []
+    for n in range(1, max_size + 1):
+        keys = {
+            int_canonical_key([row + [g[i]] for i, row in enumerate(dist)] + [[*g, 0]])
+            for dist in level
+            for g in product(positive, repeat=n - 1)
+            if _extends(dist, range(n - 1), g)
+        }
+        level = []
+        for key in sorted(keys):
+            rows = [[0] * n for _ in range(n)]
+            for (i, j), v in zip(combinations(range(n), 2), key):
+                rows[i][j] = rows[j][i] = v
+            level.append(rows)
+        reps.extend(level)
+    # one decode for all classes: a Fraction per distinct code, not per class
+    rows = iter(_decoded([row for dist in reps for row in dist], scale))
+    return [_coded_space(scale, dist, tuple(islice(rows, len(dist)))) for dist in reps]
+
+
+def listing_verify_universality(
+    U: FiniteMetricSpace, A: Iterable[Fraction], s: int
+) -> tuple[bool, Optional[FiniteMetricSpace]]:
+    """Check every A-space on at most s points embeds in U.
+
+    Returns (True, None) or (False, missing-space).
+    """
+    cap = max(U.n, s)
+    for space in listing_enumerate_spaces_up_to_isometry(A, s):
+        if find_embedding(space, U, max_points=cap) is None:
+            return False, space
+    return True, None

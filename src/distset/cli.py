@@ -46,7 +46,9 @@ from .metric_preserving import (
     slope_construction,
 )
 from .oracles import find_embedding, find_isometry, graph_embed, graph_iso, verify_reduction
-from .rationals import INT, RATIONAL, Leaf, ListOf, format_rational, parse_rational, read_shape
+from .rationals import (
+    INT, RATIONAL, Leaf, ListOf, _per_code, format_rational, parse_rational, read_shape
+)
 from .urysohn import urysohn_stage, verify_one_point_homogeneity, verify_universality
 
 _ORACLES = {
@@ -243,7 +245,7 @@ def _cmd_urysohn(args) -> int:
     hom_ok, stuck = verify_one_point_homogeneity(result.space, args.homog_bound)
     payload = {
         "space": space_to_json_dict(result.space),
-        "log": [list(row) for row in result.log],
+        "log": _per_code(result.log, format_rational),
         "saturated": result.saturated,
         "universality": {
             "holds": uni_ok,

@@ -106,8 +106,8 @@ def _joint(*coded: tuple[int, Sequence[Sequence[int]]]) -> tuple[int, list]:
 
 
 def _per_code(rows: Sequence[Sequence[int]], make) -> list[list]:
-    """The rows with each code c replaced by make(c), called once per
-    distinct code."""
+    """The rows with each entry c, a code or a Fraction, replaced by make(c),
+    called once per distinct entry."""
     value_of = {c: make(c) for c in set(chain.from_iterable(rows))}
     return [list(map(value_of.__getitem__, row)) for row in rows]
 

@@ -414,20 +414,27 @@ def verify_one_point_homogeneity(
     Tuples are grouped by their pairwise-distance pattern; within a group the
     sets of reachable one-point distance patterns must coincide. Returns
     (True, None) or (False, (domain_tuple, codomain_tuple, stuck_point)).
+
+    A member's patterns are read as the set of columns of its rows, its own
+    points' columns included (column e is the pattern of e, d being
+    symmetric). Each own column holds a 0, which no outside pattern does, and
+    depends only on the group's distance pattern, so two members' column sets
+    differ exactly where their outside patterns do.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     d = U._coded[1]
     for j in range(1, k + 1):
+        slots = list(combinations(range(j), 2))
         groups: dict = {}
         for tup in permutations(range(U.n), j):
-            sig = tuple(d[tup[a]][tup[b]] for a in range(j) for b in range(a + 1, j))
+            sig = tuple([d[tup[a]][tup[b]] for a, b in slots])
             groups.setdefault(sig, []).append(tup)
         for members in groups.values():
             first = members[0]
-            base = _extension_patterns(d, first)
+            base = set(zip(*map(d.__getitem__, first)))
             for other in members[1:]:
-                pats = _extension_patterns(d, other)
+                pats = set(zip(*map(d.__getitem__, other)))
                 if pats == base:
                     continue
                 for pattern in sorted(base - pats):
@@ -437,19 +444,6 @@ def verify_one_point_homogeneity(
                     e = _point_realizing(d, U.n, other, pattern)
                     return False, (other, first, e)
     return True, None
-
-
-def _extension_patterns(d, tup: tuple[int, ...]) -> set:
-    """The distance patterns to tup of the points outside it.
-
-    Column e of the rows of tup is the pattern of e, d being symmetric. The
-    rows of tup's own points hold a 0, which no outside pattern does, so
-    taking them out removes no outside pattern.
-    """
-    rows = [d[t] for t in tup]
-    pats = set(zip(*rows))
-    pats.difference_update(zip(*([row[e] for e in tup] for row in rows)))
-    return pats
 
 
 def _point_realizing(d, n: int, tup: tuple[int, ...], pattern) -> int:

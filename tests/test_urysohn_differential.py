@@ -20,9 +20,18 @@ Over a set that passes the 4-values check that search never backtracks, so
 both must pick the same values; with the check patched out, a set that
 fails it must raise InvariantViolation. The same stages and a thousand more
 (3-9 values, budgets 10-60, bounds 1-4) are compared with the Counter pair
-counts the growth index replaced. Canonical keys, the universality coding
-of a U with distances outside A, and the homogeneity patterns are compared
-with their references on their own.
+counts the growth index replaced, and the thousand stages' homogeneity
+witnesses at k <= 2 with the Fraction reference's. Canonical keys and the
+universality coding of a U with distances outside A are compared with their
+references on their own.
+
+Homogeneity compares column sets, each tuple's own columns included; on the
+twelve-point subspaces of the large stages a column set minus the own
+columns must be the reference's outside patterns, and tuples at equal
+distances must have equal own columns. Its witness is compared with the
+reference's on 240 seeded spaces no stage grows (capped graph distances,
+circulants and small subspaces of the large stages), which fail at j = 1,
+2 and 3 or not at all.
 
 Universality along the class tree is compared with the reference on every
 large stage at s = 1-4 and on shapes the stages miss: a U where the tree's
@@ -47,7 +56,6 @@ from distset.oracles import find_embedding
 from distset.rationals import _codes
 from distset.urysohn import (
     _canonical_key,
-    _extension_patterns,
     enumerate_spaces_up_to_isometry,
     four_values_check,
     urysohn_stage,
@@ -281,13 +289,82 @@ def test_homogeneity_matches_reference_on_large_stages(case, k):
 
 
 @pytest.mark.parametrize("case", range(len(LARGE_STAGES)))
-def test_extension_patterns_leave_out_the_tuples_own_points(case):
-    # pinned: the set holds only outside points' patterns, as the reference's
+def test_column_sets_are_the_reference_patterns_and_own_columns(case):
+    # a tuple's column set is its outside points' patterns, as the
+    # reference's, plus its own columns, which the tuple's distances fix
     space = subspace(_large_stage(case).space, range(12))
     _, d = _codes(space.dist)
     for j in (1, 2, 3):
+        own_by_sig: dict = {}
         for tup in itertools.permutations(range(space.n), j):
-            assert _extension_patterns(d, tup) == ref._extension_patterns(d, space.n, tup)
+            own = {tuple(d[t][e] for t in tup) for e in tup}
+            columns = set(zip(*map(d.__getitem__, tup)))
+            assert columns - own == ref._extension_patterns(d, space.n, tup)
+            sig = tuple(d[a][b] for a, b in itertools.combinations(tup, 2))
+            assert own_by_sig.setdefault(sig, own) == own
+
+
+def _capped_graph_metric(n: int, edges, cap: int) -> list:
+    """Graph distances on n points, capped at cap: a metric over 1..cap."""
+    d = [[0 if i == j else 1 if {i, j} in edges else cap for j in range(n)] for i in range(n)]
+    for k, i, j in itertools.product(range(n), repeat=3):
+        d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
+
+
+def _homogeneity_cases(count: int, seed: int = 20181022) -> list:
+    """count seeded spaces that are not stages, cycling through three kinds:
+    a random graph's distances capped at 2 or 3 (any {1, 2}-valued space is
+    one); a circulant, the same on Z_m with an edge when x - y is in a
+    random set, so every point looks alike and a failure comes at j = 2 or
+    3; and 5-12 points of a large stage, as (stage, size, seed of the draw)."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        n, cap = rng.randint(4, 9), rng.choice((2, 3))
+        if i % 3 == 0:
+            p = rng.uniform(0.3, 0.7)
+            edges = [{x, y} for x, y in itertools.combinations(range(n), 2) if rng.random() < p]
+            cases.append(("graph", _capped_graph_metric(n, edges, cap)))
+        elif i % 3 == 1:
+            steps = {s for s in range(1, n // 2 + 1) if rng.random() < 0.5} or {1}
+            pairs = itertools.combinations(range(n), 2)
+            edges = [{x, y} for x, y in pairs if {(y - x) % n, (x - y) % n} & steps]
+            cases.append(("circulant", _capped_graph_metric(n, edges, cap)))
+        else:
+            draw = rng.randrange(len(LARGE_CASES)), rng.randint(5, 12), rng.random()
+            cases.append(("stage", draw))
+    return cases
+
+
+HOMOGENEITY_CASES = _homogeneity_cases(240)
+
+
+@cache
+def _homogeneity_space(case: int) -> FiniteMetricSpace:
+    kind, data = HOMOGENEITY_CASES[case]
+    if kind == "stage":
+        stage, size, seed = data
+        space = _large_stage(stage).space
+        return subspace(space, sorted(random.Random(seed).sample(range(space.n), min(size, space.n))))
+    return validate_metric(data)
+
+
+def test_homogeneity_cases_fail_at_every_level():
+    levels = {kind: set() for kind in ("graph", "circulant", "stage")}
+    for case, (kind, _) in enumerate(HOMOGENEITY_CASES):
+        ok, witness = verify_one_point_homogeneity(_homogeneity_space(case), 3)
+        levels[kind].add(0 if ok else len(witness[0]))
+    assert levels["graph"] >= {1, 2} and levels["circulant"] == {0, 2, 3}
+    assert set.union(*levels.values()) == {0, 1, 2, 3}
+    spaces = map(_homogeneity_space, range(len(HOMOGENEITY_CASES)))
+    assert {v for space in spaces for row in space.dist for v in row} > {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("case", range(len(HOMOGENEITY_CASES)))
+def test_homogeneity_matches_reference_on_spaces_no_stage_grows(case):
+    space = _homogeneity_space(case)
+    assert verify_one_point_homogeneity(space, 3) == ref.verify_one_point_homogeneity(space, 3)
 
 
 # --- canonical keys -------------------------------------------------------------
@@ -388,7 +465,13 @@ def test_indexed_stage_matches_counter_reference(case):
 @pytest.mark.parametrize("chunk", range(len(SEEDED_STAGES) // CHUNK))
 def test_indexed_stage_matches_counter_reference_on_seeded_stages(chunk):
     for case in SEEDED_STAGES[chunk * CHUNK : (chunk + 1) * CHUNK]:
-        _assert_same_stage(urysohn_stage(*case), case)
+        got = urysohn_stage(*case)
+        _assert_same_stage(got, case)
+        # homogeneity too, at k <= 2: the Fraction reference is slow past that
+        k = min(case[3], 2)
+        assert verify_one_point_homogeneity(got.space, k) == ref.verify_one_point_homogeneity(
+            got.space, k
+        )
 
 
 # --- universality along the class tree --------------------------------------------

@@ -8,9 +8,15 @@ deeply to parse included. Every input file but a description is read through
 read_shape against its kind's declaration. Reports are emitted as canonical
 JSON (sorted keys, rationals as "p/q" strings) so that identical requests
 produce byte-identical artifacts; analysis reports also carry the tool
-version and a digest of the input bytes. Construction and slope outputs are
+version and a digest of the input bytes, the bytes that were parsed: each
+input file is read once. Construction and slope outputs are
 bare module formats with no report envelope, so they can be fed back in as
 inputs.
+
+The parser of the subcommand that argv[0] names parses the rest of argv
+directly, which is what the top-level parser does after matching argv[0];
+any other argv, or one that leaves arguments over, goes through the
+top-level parser, so every usage, help and error message is argparse's own.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .metric_preserving import (
 )
 from .oracles import find_embedding, find_isometry, graph_embed, graph_iso, verify_reduction
 from .rationals import (
-    INT, RATIONAL, Leaf, ListOf, _per_code, format_rational, parse_rational, read_shape
+    INT, RATIONAL, Leaf, ListOf, format_rational, parse_rational, read_shape
 )
 from .urysohn import urysohn_stage, verify_one_point_homogeneity, verify_universality
 
@@ -87,6 +93,8 @@ _CONSTRUCTIONS = {
     "graph-space": (graph_space, space_to_json_dict, ("r", "rp"), graph_from_json_dict),
     "space-to-graph": (space_to_graph, graph_to_json_dict, ("r",), space_from_json_dict),
 }
+# every rational flag of construct; each construction takes those it lists
+_CONSTRUCTION_FLAGS = ("r", "rp")
 
 
 # leaves that JSON writes as they are
@@ -148,31 +156,32 @@ def _write(text: str, output: str | None) -> None:
             handle.write(text)
 
 
-def _read_json(path: str):
+def _read_json(path: str, digest=None):
+    """The JSON value in the file; its bytes also go to digest, if given."""
     with open(path, "rb") as handle:
-        try:
-            return json.load(handle)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-        except ValueError as exc:  # bad syntax or bytes that decode to no text
-            raise ValueError(f"{path}: {exc}") from None
+        data = handle.read()
+    if digest is not None:
+        digest.update(data)
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:  # bad syntax or bytes that decode to no text
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _stamp(payload: dict, paths) -> dict:
-    """Add the report envelope: the tool version and the SHA-256 of the
-    input files' bytes, in order."""
-    h = hashlib.sha256()
-    for path in paths:
-        with open(path, "rb") as handle:
-            h.update(handle.read())
+def _stamp(payload: dict, digest) -> dict:
+    """Add the report envelope: the tool version and the SHA-256 digest of
+    the input files' bytes, fed to it in order as they were read."""
     payload["tool_version"] = __version__
-    payload["input_digest"] = h.hexdigest()
+    payload["input_digest"] = digest.hexdigest()
     return payload
 
 
 def _cmd_analyze(args) -> int:
-    desc = desc_from_json(_read_json(args.input))
-    report = _stamp(build_report(desc), [args.input])
+    digest = hashlib.sha256()
+    desc = desc_from_json(_read_json(args.input, digest))
+    report = _stamp(build_report(desc), digest)
     if args.format == "text":
         text = render_report_text(report)
         text += f"tool_version: {report['tool_version']}\n"
@@ -190,6 +199,9 @@ def _cmd_construct(args) -> int:
         raise ValueError(
             f"construct {args.name} takes {len(loaders)} input file(s), got {len(files)}"
         )
+    for flag in _CONSTRUCTION_FLAGS:
+        if flag not in flags and getattr(args, flag) is not None:
+            raise ValueError(f"construct {args.name} takes no --{flag}")
     rationals = []
     for flag in flags:
         value = getattr(args, flag)
@@ -203,36 +215,39 @@ def _cmd_construct(args) -> int:
 
 def _cmd_oracle(args) -> int:
     search, load = _ORACLES[args.relation]
-    A = load(_read_json(args.files[0]))
-    B = load(_read_json(args.files[1]))
+    digest = hashlib.sha256()
+    A = load(_read_json(args.files[0], digest))
+    B = load(_read_json(args.files[1], digest))
     witness = search(A, B, max_points=args.max_points)
     payload = {
         "relation": args.relation,
         "found": witness is not None,
         "witness": list(witness) if witness is not None else None,
     }
-    _emit(_stamp(payload, args.files), args.output)
+    _emit(_stamp(payload, digest), args.output)
     return 0
 
 
 def _cmd_reduce(args) -> int:
     search_in, load_in = _ORACLES[args.relation_in]
     search_out, load_out = _ORACLES[args.relation_out]
+    digest = hashlib.sha256()
     pairs = [
         (tuple(map(load_in, entry["input"])), tuple(map(load_out, entry["transformed"])))
-        for entry in read_shape(_read_json(args.input), _REDUCTION, "reduction")
+        for entry in read_shape(_read_json(args.input, digest), _REDUCTION, "reduction")
     ]
 
     def wrap(search):
         return lambda u, v: search(u, v, max_points=args.max_points)
 
     payload = verify_reduction(pairs, wrap(search_in), wrap(search_out))
-    _emit(_stamp(payload, [args.input]), args.output)
+    _emit(_stamp(payload, digest), args.output)
     return 0
 
 
 def _cmd_urysohn(args) -> int:
-    desc = desc_from_json(_read_json(args.input))
+    digest = hashlib.sha256()
+    desc = desc_from_json(_read_json(args.input, digest))
     values: set = set()
     for comp in desc.components:
         if not isinstance(comp, FiniteSet):
@@ -245,7 +260,7 @@ def _cmd_urysohn(args) -> int:
     hom_ok, stuck = verify_one_point_homogeneity(result.space, args.homog_bound)
     payload = {
         "space": space_to_json_dict(result.space),
-        "log": _per_code(result.log, format_rational),
+        "log": [list(map(format_rational, row)) for row in result.log],
         "saturated": result.saturated,
         "universality": {
             "holds": uni_ok,
@@ -262,12 +277,13 @@ def _cmd_urysohn(args) -> int:
             },
         },
     }
-    _emit(_stamp(payload, [args.input]), args.output)
+    _emit(_stamp(payload, digest), args.output)
     return 0
 
 
 def _cmd_mpf(args) -> int:
-    raw = _read_json(args.input)
+    digest = hashlib.sha256()
+    raw = _read_json(args.input, digest)
     if args.action == "slope":
         _emit(func_to_json(slope_construction(**read_shape(raw, _SLOPE, "slope"))), args.output)
         return 0
@@ -280,7 +296,7 @@ def _cmd_mpf(args) -> int:
         }
     else:
         payload = {"sufficient": check_sufficient_condition(f)}
-    _emit(_stamp(payload, [args.input]), args.output)
+    _emit(_stamp(payload, digest), args.output)
     return 0
 
 
@@ -303,8 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a space or graph from inputs")
     p.add_argument("name", choices=tuple(_CONSTRUCTIONS))
     p.add_argument("inputs", nargs="*")
-    p.add_argument("--r")
-    p.add_argument("--rp")
+    for flag in _CONSTRUCTION_FLAGS:
+        p.add_argument(f"--{flag}")
     p.add_argument("--output")
     p.set_defaults(run=_cmd_construct)
 
@@ -337,11 +353,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(run=_cmd_mpf)
 
+    parser.commands = sub.choices  # name: subparser, for _parse
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """_build_parser().parse_args(argv). When argv[0] names a subcommand,
+    its own parser takes the rest: the top-level parser would hand it
+    exactly that and copy its values over command. Arguments it leaves over
+    are an error, which the top-level parser reports."""
+    parser = _build_parser()
+    if argv and argv[0] in parser.commands:
+        args, rest = parser.commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.run(args)
     except DistSetError as exc:

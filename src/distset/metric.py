@@ -1,12 +1,14 @@
 """Finite metric spaces with exact rational distances.
 
-A space holds its full symmetric matrix twice: as Fractions in dist, and
-as integer codes over one scale, which every kernel of the package runs on;
+A space holds its symmetric matrix as integer codes over one scale, which
+every kernel of the package runs on, and as Fractions in dist;
 rationals._codes states why every comparison and every witness stays where
 the rationals put it. A space built here carries the codes it was checked
-on, and dist is decoded from them, one Fraction per distinct code; a space
-built by hand as FiniteMetricSpace(n, dist) is coded on first use. Validation scans row-major and reports the first witness, so
-error positions are reproducible.
+on, and dist is decoded from them when it is first read, one Fraction per
+distinct code; a space built by hand as FiniteMetricSpace(n, dist) is coded
+on first use. Either way it equals, hashes and prints as the other.
+Validation scans row-major and reports the first witness, so error
+positions are reproducible.
 
 The first checks run at C level, row by row and on the transpose; only a
 matrix that fails them is scanned entry by entry for the first fault. The
@@ -16,6 +18,8 @@ k, a minimum taken at C level. The terms k = i and k = j equal row_i[j], so
 only a proper detour can fail the strict test, and a proper detour is at
 least low_i + low_j, the least distances off the diagonal in rows i and j:
 pairs at or below that bound are skipped, a filter run at C level per row.
+Its whole-matrix form passes every pair at once: when no distance exceeds
+twice the least, d_ij <= max <= 2 min <= d_ik + d_kj for every triple.
 Only j > i is tested: (j, i) fails exactly when (i, j) does, so the first
 failing pair in row-major order has j > i. Re-scanning k in order for that
 pair alone gives the first (i, j, k) of the row-major triple scan.
@@ -58,6 +62,14 @@ class FiniteMetricSpace:
         """(L, the rows of dist times L as ints), as rationals._codes."""
         return _codes(self.dist)
 
+    def __getattr__(self, name: str):
+        # only a space made by _coded_space lacks dist: decode it on first read
+        coded = self.__dict__.get("_coded")
+        if name != "dist" or coded is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        dist = self.__dict__["dist"] = _decoded(coded[1], coded[0])
+        return dist
+
 
 def validate_metric(matrix: Sequence[Sequence[RationalLike]]) -> FiniteMetricSpace:
     """Check a square matrix and freeze it into a FiniteMetricSpace.
@@ -92,9 +104,11 @@ def _space(scale: int, rows: list[list[int]]) -> FiniteMetricSpace:
 
 def _coded_space(scale: int, rows: list[list[int]], dist=None) -> FiniteMetricSpace:
     """The space of a metric given by codes over scale, unchecked, carrying
-    them; dist is their decoding, made here if not given."""
-    space = FiniteMetricSpace(len(rows), dist or _decoded(rows, scale))
-    space.__dict__["_coded"] = scale, rows  # what the cached_property would hold
+    them; dist is their decoding, made on first read if not given."""
+    space = object.__new__(FiniteMetricSpace)  # what __init__ would set, less dist
+    space.__dict__.update(n=len(rows), _coded=(scale, rows))  # _coded as its property would
+    if dist is not None:
+        space.__dict__["dist"] = dist
     return space
 
 
@@ -114,6 +128,8 @@ def _check_metric(d: Sequence[Sequence[int]]) -> None:
                 if i != j and d[i][j] <= 0:
                     raise NonpositiveOffDiagonal(i, j)
     low = [min(filter(None, row), default=0) for row in d]  # least off the diagonal
+    if max(map(max, d)) <= 2 * min(low):
+        return
     for i, row_i in enumerate(d):
         above = map(add, repeat(low[i]), low[i + 1 :])
         for j in compress(range(i + 1, n), map(gt, row_i[i + 1 :], above)):

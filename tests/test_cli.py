@@ -1,8 +1,10 @@
 """End-to-end command line behavior: exit codes, canonical output, digests."""
 
+import argparse
 import hashlib
 import json
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -598,3 +600,123 @@ def test_writer_matches_json_dumps(value):
 )
 def test_writer_matches_json_dumps_on_edge_shapes(value):
     assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("max-product", "a", "b", "--r", "3"), "r"),
+        (("space-to-graph", "a", "--r", "1", "--rp", "7"), "rp"),
+        (("tree-space", "t", "--rp", "2"), "rp"),
+        (("glue", "a", "b", "--r", "1", "--rp", "2"), "rp"),
+    ],
+)
+def test_construct_rejects_a_flag_its_construction_does_not_take(capsys, tmp_path, argv, flag):
+    name, *rest = argv
+    files = {"a": PAIR_1, "b": PAIR_2, "t": TREE}
+    rest = [write_json(tmp_path / f"{a}.json", files[a]) if a in files else a for a in rest]
+    code, out, err = run(capsys, "construct", name, *rest)
+    assert (code, out) == (2, "")
+    assert err == f"error: construct {name} takes no --{flag}\n"
+
+
+# argv pieces per command: (positionals, options as (spelling, value))
+ARGV_SEED = 20181116
+ARGV_GRAMMAR = {
+    "analyze": ((), (("--input", "in.json"), ("--output", "o.json"), ("--format", "text"))),
+    "construct": (
+        (("glue", "graph-space", "tree-space", "bogus"), ("a.json",), ("b.json",)),
+        (("--r", "1"), ("--rp", "3/2"), ("--output", "o.json")),
+    ),
+    "oracle": (
+        (("isometry", "graph-embed", "bogus"), ("a.json",), ("b.json",)),
+        (("--max-points", "9"), ("--max-points", "x"), ("--output", "o.json")),
+    ),
+    "reduce": (
+        (("isometry", "graph-iso"), ("embedding", "bogus")),
+        (("--input", "in.json"), ("--max-points", "3"), ("--output", "o.json")),
+    ),
+    "urysohn": (
+        (),
+        (("--input", "in.json"), ("--budget", "20"), ("--embed-bound", "4"),
+         ("--homog-bound", "x"), ("--output", "o.json")),
+    ),
+    "mpf": ((("check", "slope", "bogus"),), (("--input", "in.json"), ("--output", "o.json"))),
+}
+STRAYS = ("-h", "--help", "--", "--bogus", "--bogus=1", "-x", "-1", "extra", "--in", "--o")
+
+
+def _generated_argv(rng):
+    if rng.random() < 0.03:
+        return []
+    argv = [rng.choice(("-h", "--help", "--", "--bogus", "bogus"))] if rng.random() < 0.08 else []
+    if rng.random() < 0.06:
+        argv.append(rng.choice(("no-such-command", "ana", "-x", "--output")))
+        command = rng.choice(tuple(ARGV_GRAMMAR))
+    else:
+        command = rng.choice(tuple(ARGV_GRAMMAR))
+        argv.append(command)
+    positionals, options = ARGV_GRAMMAR[command]
+    pieces = [[rng.choice(choices)] for choices in positionals if rng.random() < 0.95]
+    for _ in range(rng.randint(0, 4)):
+        spelling, value = rng.choice(options)
+        short = spelling[: rng.randint(3, len(spelling))]  # an abbreviation, or the whole
+        form = rng.random()
+        if form < 0.45:
+            pieces.append([spelling, value])
+        elif form < 0.65:
+            pieces.append([f"{short}={value}"])
+        elif form < 0.9:
+            pieces.append([short, value])
+        else:
+            pieces.append([spelling])  # its value missing
+    if rng.random() < 0.3:
+        pieces.insert(rng.randint(0, len(pieces)), [rng.choice(STRAYS)])
+    if rng.random() < 0.3:
+        rng.shuffle(pieces)
+    return argv + [token for piece in pieces for token in piece]
+
+
+def _parsed(capsys, parse, argv):
+    """(returned value or exit code, stdout, stderr) of parse(argv)."""
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.fixture
+def parser_whose_commands_return_their_args():
+    # a freshly built parser, dropped again afterwards, so no other test
+    # sees the patched commands
+    cli._build_parser.cache_clear()
+    parser = cli._build_parser()
+    for subparser in parser.commands.values():
+        subparser.set_defaults(run=lambda args: args)
+    yield parser
+    cli._build_parser.cache_clear()
+
+
+def test_main_parses_generated_argv_as_the_top_level_parser_does(
+    capsys, parser_whose_commands_return_their_args
+):
+    parser = parser_whose_commands_return_their_args
+    rng = random.Random(ARGV_SEED)
+    outcomes = []
+    for _ in range(1000):
+        argv = _generated_argv(rng)
+        got = _parsed(capsys, main, argv)
+        assert got == _parsed(capsys, parser.parse_args, argv), argv
+        outcomes.append((argv, *got))
+    parsed = [(argv, r) for argv, r, _, _ in outcomes if isinstance(r, argparse.Namespace)]
+    assert len(parsed) >= 150 and {r.command for _, r in parsed} == set(ARGV_GRAMMAR)
+    assert sum(any("=" in a for a in argv) for argv, _ in parsed) >= 40
+    results = [r for _, r, _, _ in outcomes]
+    assert results.count(("exit", 2)) >= 600
+    assert results.count(("exit", 0)) >= 40  # help
+    errors = [err for _, _, _, err in outcomes]
+    assert sum("unrecognized arguments" in err for err in errors) >= 40  # left over
+    assert sum("usage: distset [-h]" in err for err in errors) >= 150
+    assert [] in (argv for argv, *_ in outcomes)

@@ -1,5 +1,7 @@
 """Matrix validation, spectra, ultrametric checks, subspaces, JSON shape."""
 
+import copy
+import pickle
 from dataclasses import fields
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from distset.errors import (
 )
 from distset.metric import (
     FiniteMetricSpace,
+    _coded_space,
     distance_spectrum,
     is_ultrametric,
     space_from_json_dict,
@@ -254,3 +257,31 @@ def test_codes_leave_equality_hash_repr_and_fields_alone():
     assert X == Y and hash(X) == hash(Y) and repr(X) == repr(Y)
     assert [f.name for f in fields(FiniteMetricSpace)] == ["n", "dist"]
     assert X._coded == Y._coded == (2, [[0, 1], [1, 0]])  # Y is coded on first use
+
+
+def test_a_coded_space_decodes_dist_on_first_read_and_acts_as_built_by_hand():
+    rows = [[0, "1/2", 1], ["1/2", 0, "3/4"], [1, "3/4", 0]]
+    H = FiniteMetricSpace(3, tuple(tuple(map(Fraction, row)) for row in rows))
+    made = (
+        lambda: validate_metric(rows),
+        lambda: _coded_space(4, [[0, 2, 4], [2, 0, 3], [4, 3, 0]]),
+        lambda: pickle.loads(pickle.dumps(validate_metric(rows))),
+        lambda: copy.copy(validate_metric(rows)),
+        lambda: copy.deepcopy(validate_metric(rows)),
+    )
+    for make in made:
+        assert "dist" not in vars(make())  # nothing decoded yet
+        # each comparison on a space that has not decoded dist yet
+        assert make() == H and H == make() and make() != subspace(H, (0, 1))
+        assert hash(make()) == hash(H)
+        assert repr(make()) == repr(H)
+        assert make()._coded == H._coded == (4, [[0, 2, 4], [2, 0, 3], [4, 3, 0]])
+        X = make()
+        assert X.dist == H.dist and X.dist is X.dist  # decoded once
+        assert all(type(v) is Fraction for row in X.dist for v in row)
+        assert X == H and hash(X) == hash(H) and repr(X) == repr(H)
+        for twin in (copy.copy(X), copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
+            assert twin == H and twin.dist == H.dist and twin._coded == H._coded
+    assert [f.name for f in fields(FiniteMetricSpace)] == ["n", "dist"]
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        validate_metric(rows).missing

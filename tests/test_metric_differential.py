@@ -8,7 +8,9 @@ pair or non-positive entry. Each goes through validate_metric as rationals
 and through _check_metric as raw ints (the code path of urysohn_stage); the
 exception class and its witness indices must equal the reference's.
 is_ultrametric is compared on every matrix that passes the first checks,
-and on planted ultrametrics with and without one broken pair.
+and on planted ultrametrics with and without one broken pair. Hand-made
+matrices at the edge of the whole-matrix accept (no distance above twice
+the least) are compared too.
 """
 
 import random
@@ -19,6 +21,7 @@ from math import lcm
 import pytest
 
 import metric_reference as ref
+from distset import metric
 from distset.errors import DistSetError, TriangleViolation
 from distset.metric import (
     FiniteMetricSpace,
@@ -215,3 +218,40 @@ def test_triangle_witness_is_the_first_detour_not_the_cheapest():
     with pytest.raises(TriangleViolation) as ref_exc:
         ref._check_metric(d)
     assert (ref_exc.value.i, ref_exc.value.j, ref_exc.value.k) == (1, 2, 0)
+
+
+F = Fraction
+# the whole-matrix accept: no distance above twice the least
+SPREAD_EDGES = {
+    "n = 1": [[0]],
+    "n = 2": [[0, 5], [5, 0]],
+    "max exactly 2 min": [[0, 3, 6, 5], [3, 0, 3, 4], [6, 3, 0, 6], [5, 4, 6, 0]],
+    "max exactly 2 min, fractions": [
+        [F(0), F(1, 3), F(2, 3)], [F(1, 3), F(0), F(1, 2)], [F(2, 3), F(1, 2), F(0)]
+    ],
+    "2 min + 1 breaks a triangle": [[0, 3, 4, 3], [3, 0, 3, 7], [4, 3, 0, 4], [3, 7, 4, 0]],
+    "2 min + 1, every triangle holds": [[0, 4, 7], [4, 0, 3], [7, 3, 0]],
+    "asymmetric inside the window": [[0, 3, 4], [3, 0, 5], [5, 5, 0]],
+    "zero off the diagonal": [[0, 0], [0, 0]],
+    "nonzero diagonal inside the window": [[2, 2], [2, 0]],
+}
+WITHIN_TWICE_THE_LEAST = ("n = 1", "n = 2", "max exactly 2 min", "max exactly 2 min, fractions")
+
+
+@pytest.mark.parametrize("name", SPREAD_EDGES)
+def test_spread_edges_match_triple_loop(name):
+    rows = [list(map(F, row)) for row in SPREAD_EDGES[name]]
+    want = _outcome(_reference_validate, rows)
+    assert _outcome(validate_metric, rows) == want
+    codes = _int_codes(rows)
+    assert _outcome(_check_metric, codes) == _outcome(ref._check_metric, codes) == want
+    if name == "2 min + 1 breaks a triangle":
+        assert want == ("TriangleViolation", (1, 3, 0))
+
+
+def test_within_twice_the_least_distance_no_pair_is_scanned(monkeypatch):
+    monkeypatch.setattr(metric, "compress", None)  # the per-pair filter
+    for name in WITHIN_TWICE_THE_LEAST:
+        _check_metric(_int_codes([list(map(F, row)) for row in SPREAD_EDGES[name]]))
+    with pytest.raises(TypeError):  # one distance more, and the pairs are scanned
+        _check_metric(SPREAD_EDGES["2 min + 1, every triangle holds"])

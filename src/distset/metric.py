@@ -18,11 +18,20 @@ k, a minimum taken at C level. The terms k = i and k = j equal row_i[j], so
 only a proper detour can fail the strict test, and a proper detour is at
 least low_i + low_j, the least distances off the diagonal in rows i and j:
 pairs at or below that bound are skipped, a filter run at C level per row.
-Its whole-matrix form passes every pair at once: when no distance exceeds
-twice the least, d_ij <= max <= 2 min <= d_ik + d_kj for every triple.
 Only j > i is tested: (j, i) fails exactly when (i, j) does, so the first
 failing pair in row-major order has j > i. Re-scanning k in order for that
 pair alone gives the first (i, j, k) of the row-major triple scan.
+
+Two accepts run first; the scan runs only when both fail, so the first
+witness is always its own. One passes the whole matrix when no distance
+exceeds twice the least: d_ij <= max <= 2 min <= d_ik + d_kj. The other
+packs each row into one int of w-bit fields, w the bit length of 2 * top
+(the greatest entry) plus a guard bit. The entries are nonnegative by then,
+so row_i <= d(i, k) + row_k holds in every field iff every guard survives
+in P_k + d(i, k) * ONES + GUARD - P_i: a field stays below 2^w, and above
+GUARD - top > 0, so no field carries into or borrows from the next. Pairs
+with max(row_i) - low_k <= d(i, k) are skipped, as d(i, j) <= max(row_i) <=
+d(i, k) + d(k, j) for every j.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
-from operator import add, gt
+from operator import add, and_, gt, lshift, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -128,7 +137,8 @@ def _check_metric(d: Sequence[Sequence[int]]) -> None:
                 if i != j and d[i][j] <= 0:
                     raise NonpositiveOffDiagonal(i, j)
     low = [min(filter(None, row), default=0) for row in d]  # least off the diagonal
-    if max(map(max, d)) <= 2 * min(low):
+    top = max(map(max, d))
+    if top <= 2 * min(low) or _triangles_hold(d, low, top):
         return
     for i, row_i in enumerate(d):
         above = map(add, repeat(low[i]), low[i + 1 :])
@@ -137,6 +147,22 @@ def _check_metric(d: Sequence[Sequence[int]]) -> None:
             if row_i[j] > min(map(add, row_i, row_j)):
                 k = next(k for k in range(n) if row_i[j] > row_i[k] + row_j[k])
                 raise TriangleViolation(i, j, k)
+
+
+def _triangles_hold(d: Sequence[Sequence[int]], low: list[int], top: int) -> bool:
+    """Whether every triangle of d holds, tested on packed rows (module doc);
+    d has passed the first checks, and low and top are as _check_metric's."""
+    width = (2 * top).bit_length() + 1  # a field holds 2 top, and a guard bit above it
+    shifts = range(0, len(d) * width, width)
+    ones = sum(map(lshift, repeat(1), shifts))
+    guard = ones << (width - 1)
+    packed = [sum(map(lshift, row, shifts)) for row in d]
+    for row_i, spare in zip(d, map(sub, repeat(guard), packed)):
+        keep = list(map(gt, map(sub, repeat(max(row_i)), low), row_i))
+        detours = map(add, compress(packed, keep), map(mul, compress(row_i, keep), repeat(ones)))
+        if not all(map(guard.__eq__, map(and_, map(add, detours, repeat(spare)), repeat(guard)))):
+            return False
+    return True
 
 
 def _extends(dist, points: Sequence[int], values: Sequence) -> bool:

@@ -14,7 +14,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 RationalLike = Fraction | int | str
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
+# [0-9], not \d: \d and int() take the digits of every script
+_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([+-]?[0-9]+))?$")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -21,7 +21,8 @@ A stage also keeps one index, at[t][a]: the bit mask of the points at
 distance code a from point t (the row's oracles._label_masks). A new point
 sets one bit per old point and brings its own row, and the completion reads
 how many points see a pair (u, t) at labels (a, b) as the bit count of
-at[u][a] & at[t][b].
+at[u][a] & at[t][b]; the values a coordinate admits are one AND of the
+interval masks of one per-stage table, fits.
 
 Stage growth, the class listing, universality and the homogeneity check run
 on the integer codes of rationals._codes, which states why every comparison,
@@ -60,7 +61,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, combinations, islice, permutations, product, repeat
 from math import lcm
-from operator import add, and_, itemgetter, sub
+from operator import and_, itemgetter
 from typing import Iterable, Optional
 
 from .errors import BudgetTooSmall, FourValuesFails, InvariantViolation, SpectrumNotInA
@@ -195,19 +196,27 @@ def _add_point(dist, at: list, new: list[int]) -> None:
     at.append(_label_masks(dist[-1]))
 
 
-def _complete_new_point(dist, at: list, n: int, positive, subset, g) -> list | None:
+@cache
+def _weights(n: int) -> list[int]:
+    """The pair weights of _complete_new_point on n points."""
+    scale = lcm(*range(1, n + 1))
+    return [scale // (1 + m) for m in range(n)]
+
+
+def _complete_new_point(dist, at: list, n: int, positive, fits: dict, subset, g) -> list | None:
     """Distances of a new point realizing g over subset, or None.
 
     Free coordinates are filled in index order, so when u is filled the
     placed points are the ones below u and the subset's above it. v is
     admissible for u iff |d(u, t) - new[t]| <= v <= d(u, t) + new[t] for each
-    placed t: one interval, None if it holds no value. u takes the admissible
-    value whose pair patterns are rarest now, ties to the smallest: an
-    unmet-only count lets one value flood the space, and pair demands then
-    regenerate forever. The pair (u, t) weighs lcm(1, ..., n) // (1 + m),
-    m the number of points w with d(w, u) = v and d(w, t) = new[t], which is
-    the bit count of at[u][v] & at[t][new[t]]; both labels are positive, so
-    neither u nor t is among them.
+    placed t, and fits[a][b] is the bit mask over positive of the v with
+    |a - b| <= v <= a + b: one AND of intervals, so an interval, None if it
+    is empty. u takes the admissible value whose pair patterns are rarest
+    now, ties to the smallest: an unmet-only count lets one value flood the
+    space, and pair demands then regenerate forever. The pair (u, t) weighs
+    lcm(1, ..., n) // (1 + m), m the number of points w with d(w, u) = v and
+    d(w, t) = new[t], which is the bit count of at[u][v] & at[t][new[t]];
+    both labels are positive, so neither u nor t is among them.
 
     No choice is undone: the placed values form a one-point extension of the
     placed points that no point realizes (it would realize g, which is
@@ -217,30 +226,30 @@ def _complete_new_point(dist, at: list, n: int, positive, subset, g) -> list | N
     new = [None] * n
     for s, v in zip(subset, g):
         new[s] = v
+    weight = _weights(n)
 
-    scale = lcm(*range(1, n + 1))
-    weight = [scale // (1 + m) for m in range(n)]
-
-    for u in sorted(set(range(n)) - set(subset)):
-        above = [s for s in subset if s > u]
-        d_placed = dist[u][:u] + [dist[u][t] for t in above]
-        at_placed = new[:u] + [new[t] for t in above]
-        lo = max(map(abs, map(sub, d_placed, at_placed)))
-        hi = min(map(add, d_placed, at_placed))
-        admissible = positive[bisect_left(positive, lo) : bisect_right(positive, hi)]
-        if len(admissible) < 2:
+    for u in range(n):
+        if new[u] is not None:  # u is in subset: the free points are filled in order
+            continue
+        above = subset[bisect_right(subset, u) :]
+        d_placed, at_placed = dist[u][:u], new[:u]
+        if above:
+            d_placed += [dist[u][t] for t in above]
+            at_placed += [new[t] for t in above]
+        admissible = reduce(and_, map(dict.__getitem__, map(fits.__getitem__, d_placed), at_placed))
+        if not admissible & (admissible - 1):
             if not admissible:
                 return None
-            new[u] = admissible[0]
+            new[u] = positive[admissible.bit_length() - 1]
             continue
         seen = list(map(dict.get, at[:u] + [at[t] for t in above], at_placed, repeat(0)))
         masks = at[u]
-
-        def coverage(v: int) -> int:
-            pairs = map(int.bit_count, map(masks.get(v, 0).__and__, seen))
-            return sum(map(weight.__getitem__, pairs))
-
-        new[u] = min(admissible, key=lambda v: (-coverage(v), v))
+        values = positive[(admissible & -admissible).bit_length() - 1 : admissible.bit_length()]
+        coverage = [
+            sum(map(weight.__getitem__, map(int.bit_count, map(masks.get(v, 0).__and__, seen))))
+            for v in values
+        ]
+        new[u] = values[coverage.index(max(coverage))]  # the first, so the smallest, of the best
     return new
 
 
@@ -271,6 +280,8 @@ def urysohn_stage(
         raise ValueError("budgets and bounds must be >= 1")
 
     positive = [c for c in codes if c > 0]
+    fits = {a: {b: (1 << bisect_right(positive, a + b)) - (1 << bisect_left(positive, abs(a - b)))
+                for b in positive} for a in positive}  # as _complete_new_point reads them
     j_max = max(embed_bound - 1, homog_bound)
     dist: list[list[int]] = [[0]]
     n = 1
@@ -283,7 +294,7 @@ def urysohn_stage(
         n < size_budget
     ):
         subset, g = demand
-        new = _complete_new_point(dist, at, n, positive, subset, g)
+        new = _complete_new_point(dist, at, n, positive, fits, subset, g)
         if new is None:
             g_values = ", ".join(map(str, _decoded([g], scale)[0]))
             raise InvariantViolation(f"no point over A realizes g = ({g_values}) on {subset}")

@@ -11,8 +11,14 @@ is_ultrametric is compared on every matrix that passes the first checks,
 and on planted ultrametrics with and without one broken pair. Hand-made
 matrices at the edge of the whole-matrix accept (no distance above twice
 the least) are compared too.
+
+The packed-row accept is compared on L1 spaces past that accept: 2 top at
+and just past a power of two, codes above 2^64, 3 points and 80, each as
+drawn and with one entry moved by one. Its verdict must be the triple
+loop's, and it must test exactly the pairs its filter keeps.
 """
 
+import math
 import random
 from fractions import Fraction
 from functools import cache
@@ -255,3 +261,97 @@ def test_within_twice_the_least_distance_no_pair_is_scanned(monkeypatch):
         _check_metric(_int_codes([list(map(F, row)) for row in SPREAD_EDGES[name]]))
     with pytest.raises(TypeError):  # one distance more, and the pairs are scanned
         _check_metric(SPREAD_EDGES["2 min + 1, every triangle holds"])
+
+
+# --- the packed-row accept ------------------------------------------------------
+
+
+def _l1(rng, n, dims, top):
+    """At most n distinct points of a box whose L1 diameter is top, two of
+    them opposite corners: integer codes whose greatest entry is exactly top."""
+    sides = [top // dims + (k < top % dims) for k in range(dims)]
+    points = {tuple(0 for _ in sides): None, tuple(sides): None}
+    volume = math.prod(s + 1 for s in sides)
+    while len(points) < min(n, volume):
+        points[tuple(rng.randint(0, s) for s in sides)] = None
+    return [[sum(abs(a - b) for a, b in zip(p, q)) for q in points] for p in points]
+
+
+def _perturbed(rng, rows):
+    """rows with one pair moved by one, up or down, and still positive."""
+    rows = [list(row) for row in rows]
+    i, j = rng.sample(range(len(rows)), 2)
+    rows[i][j] = rows[j][i] = max(1, rows[i][j] + rng.choice((-1, 1)))
+    return rows
+
+
+def _packed_cases(seed=SEED):
+    """(name, integer codes), most of them past the whole-matrix accept: L1
+    spaces with 2 top at and just past a power of two, with codes above
+    2^64, on 3 points and on 80, each as drawn and with one entry moved by
+    one."""
+    rng = random.Random(seed)
+    shapes = []
+    for m in (3, 4, 5, 6, 9):  # 2 top = 2^m, and 2^m + 2
+        shapes += [(f"2top=2^{m}", 12, 2**m // 2), (f"2top=2^{m}+2", 12, 2**m // 2 + 1)]
+    shapes += [("n=3", 3, 7), ("n=3", 3, 16), ("n=80", 80, 40), ("n=80", 80, 33)]
+    cases = []
+    for name, n, top in shapes:
+        for dims in (1, 2, 3):
+            rows = _l1(rng, n, dims, top)
+            cases += [(name, rows), (name + " perturbed", _perturbed(rng, rows))]
+    big = 2**64 + 13  # codes past a machine word
+    for name, rows in cases[:12]:
+        cases.append((name + " times 2^64+13", [[v * big for v in row] for row in rows]))
+    return cases
+
+
+PACKED_CASES = _packed_cases()
+
+
+def _triangles_hold(rows):
+    """metric._triangles_hold on rows, as _check_metric calls it."""
+    low = [min(filter(None, row), default=0) for row in rows]
+    return metric._triangles_hold(rows, low, max(map(max, rows)))
+
+
+@cache
+def _packed_reference(index):
+    return _outcome(ref._check_metric, PACKED_CASES[index][1])
+
+
+def test_packed_cases_pass_and_fail_past_the_accept():
+    kinds = []
+    for case, (name, rows) in enumerate(PACKED_CASES):
+        top = max(map(max, rows))
+        if name.startswith("2top=") and "perturbed" not in name and "times" not in name:
+            m, _, plus = name[len("2top=2^"):].partition("+")
+            assert 2 * top == 2 ** int(m) + int(plus or 0), name
+        # within twice the least distance, the whole-matrix accept answers
+        if top > 2 * min(v for row in rows for v in row if v):
+            kinds.append((_packed_reference(case) or ("holds",))[0])
+    assert kinds.count("holds") >= 40 and kinds.count("TriangleViolation") >= 20
+    assert set(kinds) == {"holds", "TriangleViolation"}
+
+
+@pytest.mark.parametrize("case", range(len(PACKED_CASES)))
+def test_packed_accept_matches_triple_loop(case):
+    name, rows = PACKED_CASES[case]
+    want = _packed_reference(case)
+    assert _outcome(_check_metric, rows) == want, name
+    assert _triangles_hold(rows) == (want is None), name
+
+
+def test_packed_accept_tests_only_the_pairs_its_filter_keeps(monkeypatch):
+    # (i, k) with max(row_i) - low_k <= d(i, k) needs no test: every
+    # d(i, j) <= max(row_i) <= d(i, k) + low_k <= d(i, k) + d(k, j). Each
+    # tested pair multiplies d(i, k) by the ones word once.
+    tested = []
+    monkeypatch.setattr(metric, "mul", lambda a, b: tested.append(a) or a * b)
+    for case, (name, rows) in enumerate(PACKED_CASES):
+        if _packed_reference(case) is None:
+            low = [min(filter(None, row), default=0) for row in rows]
+            tested.clear()
+            assert _triangles_hold(rows), name
+            needed = [d for row in rows for d, m in zip(row, low) if max(row) - m > d]
+            assert tested == needed, name

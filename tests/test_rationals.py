@@ -31,7 +31,7 @@ def test_parse_tolerates_surrounding_whitespace():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "1.5", "1e3", "a/b", "1/2/3", "/2", "3/", "nan", "0x1"]
+    "bad", ["", "1.5", "1e3", "a/b", "1/2/3", "/2", "3/", "nan", "0x1", "\u0663/\u0664", "\uff13"]
 )
 def test_parse_rejects_non_rational_text(bad):
     with pytest.raises(ValueError):

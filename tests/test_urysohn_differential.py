@@ -38,8 +38,16 @@ large stage at s = 1-4 and on shapes the stages miss: a U where the tree's
 extension fails but find_embedding finds a map, a U with distances outside
 A or on another scale, and s > U.n; every image the tree records must keep
 distances. A saturated stage never calls find_embedding; a failing one does.
+
+Every completion of the large stages and of one in twenty seeded stages runs
+through both the interval-mask completion and the bisect-slice one it
+replaced, which must give the same new point. Their free values include
+forced single values, ties broken to the smallest value and unique best
+values, each counted from the definitions; the uncompletable demand above
+compares the None path.
 """
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -274,11 +282,14 @@ def test_frontier_stage_matches_int_reference(case, monkeypatch):
 
 def test_an_uncompletable_demand_is_an_invariant_violation(monkeypatch):
     # {0, 1, 2, 4} fails the 4-values check; passed anyway, a stage meets a
-    # demand whose completion has an empty interval, and says so
+    # demand whose completion has an empty interval, and says so, as the
+    # completion it replaced does (_compared_completions, below)
     monkeypatch.setattr(urysohn, "four_values_check", lambda values: (True, None))
+    calls = _compared_completions(monkeypatch)
     values = frozenset(Fraction(v) for v in (0, 1, 2, 4))
     with pytest.raises(InvariantViolation, match=r"realizes g = \(1\) on \(6,\)$"):
         urysohn_stage(values, 40, 3, 2)
+    assert calls
 
 
 @pytest.mark.parametrize("case", range(len(LARGE_STAGES)))
@@ -569,3 +580,61 @@ def test_a_failing_embed4_stage_falls_back(monkeypatch):
     ok, missing = verify_universality(stage.space, values, 4)
     assert not ok and missing.n == 4
     assert fallback and fallback[-1] is None
+
+
+# --- the completion on interval masks against the bisect slices it replaced -------
+
+
+def _choice(dist, n, positive, subset, new, u) -> str:
+    """How u's value was chosen, restated from the definitions and not from
+    either kernel: 'single' when one value fits every placed point, 'tie'
+    when two or more values share the best score, else 'best'."""
+    placed = [t for t in range(n) if t < u or t in subset]
+    fits = [
+        v for v in positive
+        if all(abs(dist[u][t] - new[t]) <= v <= dist[u][t] + new[t] for t in placed)
+    ]
+    if len(fits) == 1:
+        return "single"
+
+    def seen(v, t):
+        return sum(dist[w][u] == v and dist[w][t] == new[t] for w in range(n))
+
+    scores = [sum(Fraction(1, 1 + seen(v, t)) for t in placed) for v in fits]
+    return "tie" if scores.count(max(scores)) > 1 else "best"
+
+
+def _compared_completions(monkeypatch, choices=None) -> list:
+    """From now on every completion urysohn makes also runs through the
+    reference, and must give the same new list. Returns the list of calls
+    compared; choices, if given, counts how the free values of calls on at
+    most 12 points were chosen."""
+    calls = []
+    complete = urysohn._complete_new_point
+
+    def compared(dist, at, n, positive, fits, subset, g):
+        got = complete(dist, at, n, positive, fits, subset, g)
+        assert got == ref.bisect_complete_new_point(dist, at, n, positive, subset, g), (subset, g)
+        calls.append(n)
+        if choices is not None and got is not None and n <= 12:
+            for u in set(range(n)) - set(subset):
+                choices[_choice(dist, n, positive, subset, got, u)] += 1
+        return got
+
+    monkeypatch.setattr(urysohn, "_complete_new_point", compared)
+    return calls
+
+
+COMPLETION_CASES = LARGE_CASES + SEEDED_STAGES[::20]
+
+
+def test_completion_matches_bisect_reference(monkeypatch):
+    # every demand of the large stages and of one in twenty seeded stages;
+    # all thousand would grow them again, about 30 s
+    choices = collections.Counter()
+    calls = _compared_completions(monkeypatch, choices)
+    for case in COMPLETION_CASES:
+        urysohn_stage(*case)
+    assert len(calls) > 2000
+    assert min(choices[kind] for kind in ("single", "tie", "best")) >= 100, choices
+

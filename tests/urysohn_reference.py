@@ -531,3 +531,60 @@ def listing_verify_universality(
         if find_embedding(space, U, max_points=cap) is None:
             return False, space
     return True, None
+
+
+# --- the completion before the interval masks -----------------------------------
+# distset.urysohn's _complete_new_point before it read each free coordinate's
+# admissible values off one AND of interval masks, verbatim but for the name:
+# it slices positive between two bisects and rebuilds the lcm weights per call.
+# tests/test_urysohn_differential.py replays every completion of a stage sweep
+# through both.
+
+
+def bisect_complete_new_point(dist, at: list, n: int, positive, subset, g) -> list | None:
+    """Distances of a new point realizing g over subset, or None.
+
+    Free coordinates are filled in index order, so when u is filled the
+    placed points are the ones below u and the subset's above it. v is
+    admissible for u iff |d(u, t) - new[t]| <= v <= d(u, t) + new[t] for each
+    placed t: one interval, None if it holds no value. u takes the admissible
+    value whose pair patterns are rarest now, ties to the smallest: an
+    unmet-only count lets one value flood the space, and pair demands then
+    regenerate forever. The pair (u, t) weighs lcm(1, ..., n) // (1 + m),
+    m the number of points w with d(w, u) = v and d(w, t) = new[t], which is
+    the bit count of at[u][v] & at[t][new[t]]; both labels are positive, so
+    neither u nor t is among them.
+
+    No choice is undone: the placed values form a one-point extension of the
+    placed points that no point realizes (it would realize g, which is
+    unmet), and the 4-values condition is amalgamation for finite A-spaces
+    (Sauer), so the extension reaches all n points.
+    """
+    new = [None] * n
+    for s, v in zip(subset, g):
+        new[s] = v
+
+    scale = lcm(*range(1, n + 1))
+    weight = [scale // (1 + m) for m in range(n)]
+
+    for u in sorted(set(range(n)) - set(subset)):
+        above = [s for s in subset if s > u]
+        d_placed = dist[u][:u] + [dist[u][t] for t in above]
+        at_placed = new[:u] + [new[t] for t in above]
+        lo = max(map(abs, map(sub, d_placed, at_placed)))
+        hi = min(map(add, d_placed, at_placed))
+        admissible = positive[bisect_left(positive, lo) : bisect_right(positive, hi)]
+        if len(admissible) < 2:
+            if not admissible:
+                return None
+            new[u] = admissible[0]
+            continue
+        seen = list(map(dict.get, at[:u] + [at[t] for t in above], at_placed, repeat(0)))
+        masks = at[u]
+
+        def coverage(v: int) -> int:
+            pairs = map(int.bit_count, map(masks.get(v, 0).__and__, seen))
+            return sum(map(weight.__getitem__, pairs))
+
+        new[u] = min(admissible, key=lambda v: (-coverage(v), v))
+    return new

@@ -12,7 +12,6 @@ one formatter, _show.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -24,6 +23,7 @@ from .distance_sets import (
     facts_to_json_dict,
 )
 from .errors import InvariantViolation, NotRealizable
+from .rationals import JSON_LITERALS
 
 COMPLEXITY_CLASSES = frozenset(
     {
@@ -342,7 +342,7 @@ def _show(value) -> str:
     """A report value as text: a class or kind followed by its qualifiers in
     parentheses, JSON literals for booleans and null."""
     if value is None or isinstance(value, bool):
-        return json.dumps(value)
+        return JSON_LITERALS[value]
     if not isinstance(value, dict):
         return str(value)
     shown = value["class"] if "class" in value else value["kind"]

@@ -5,13 +5,14 @@ preserving functions.
 Exit codes: 0 on success, 1 when a domain error from a library module is
 rendered verbatim, 2 on usage, file, or JSON-shape problems, JSON nested too
 deeply to parse included. Every input file but a description is read through
-read_shape against its kind's declaration. Reports are emitted as canonical
-JSON (sorted keys, rationals as "p/q" strings) so that identical requests
-produce byte-identical artifacts; analysis reports also carry the tool
-version and a digest of the input bytes, the bytes that were parsed: each
-input file is read once. Construction and slope outputs are
-bare module formats with no report envelope, so they can be fed back in as
-inputs.
+read_shape against its kind's declaration; integer flags take ASCII digits
+only. Reports are emitted as canonical JSON (sorted keys, rationals as "p/q"
+strings) so that identical requests produce byte-identical artifacts. The
+writer, _dumps, takes each payload as its command builds it, Fractions and
+tuples included, and writes it in one walk. Analysis reports also carry the
+tool version and a digest of the input bytes, the bytes that were parsed:
+each input file is read once. Construction and slope outputs are bare module
+formats with no report envelope, so they can be fed back in as inputs.
 
 The parser of the subcommand that argv[0] names parses the rest of argv
 directly, which is what the top-level parser does after matching argv[0];
@@ -53,7 +54,8 @@ from .metric_preserving import (
 )
 from .oracles import find_embedding, find_isometry, graph_embed, graph_iso, verify_reduction
 from .rationals import (
-    INT, RATIONAL, Leaf, ListOf, format_rational, parse_rational, read_shape
+    INT, JSON_LITERALS, RATIONAL, Leaf, ListOf, format_rational, parse_int, parse_rational,
+    read_shape,
 )
 from .urysohn import urysohn_stage, verify_one_point_homogeneity, verify_universality
 
@@ -97,37 +99,24 @@ _CONSTRUCTIONS = {
 _CONSTRUCTION_FLAGS = ("r", "rp")
 
 
-# leaves that JSON writes as they are
-_PLAIN = frozenset({str, int, bool, type(None)})
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, dict):
-        return {key: _jsonable(val) for key, val in value.items()}
-    if isinstance(value, (list, tuple)):
-        if _PLAIN.issuperset(map(type, value)):  # a written matrix row, say
-            return value
-        return [_jsonable(item) for item in value]
-    return value
-
-
 def _dumps(value, indent: str = "\n") -> str:
-    """json.dumps(value, sort_keys=True, indent=2) for what _jsonable returns,
-    with string keys. A list of strings only, or of ints only, such as a
-    written matrix row, is joined at C level."""
+    """json.dumps(value, sort_keys=True, indent=2) for a payload as the
+    commands build it, with string keys and each Fraction as its "p/q"
+    string, in one walk. Dispatch is on the exact type; a list of strings
+    only, or of ints only, such as a written matrix row, is joined at C level.
+    A subclass is written as its base, a float as json writes it."""
     kind = type(value)
     if kind is str:
         return _quote(value)
     if kind is int:
         return int.__repr__(value)
-    if isinstance(value, dict) and value:
-        inner = indent + "  "
+    if kind is Fraction:
+        return _quote(format_rational(value))
+    inner = indent + "  "
+    if kind is dict:
         items = (f"{_quote(key)}: {_dumps(val, inner)}" for key, val in sorted(value.items()))
         ends = "{}"
-    elif isinstance(value, (list, tuple)) and value:
-        inner = indent + "  "
+    elif kind is list or kind is tuple:
         kinds = set(map(type, value))
         if kinds == {str}:
             items = map(_quote, value)
@@ -136,16 +125,19 @@ def _dumps(value, indent: str = "\n") -> str:
         else:
             items = (_dumps(item, inner) for item in value)
         ends = "[]"
+    elif value is None or kind is bool:
+        return JSON_LITERALS[value]
+    elif isinstance(value, Fraction):
+        return _quote(format_rational(value))
+    elif isinstance(value, (dict, list, tuple)):
+        return _dumps(dict(value.items()) if isinstance(value, dict) else list(value), indent)
     else:
-        return _SCALARS[value] if value is None or kind is bool else json.dumps(value)
-    return ends[0] + inner + f",{inner}".join(items) + indent + ends[1]
-
-
-_SCALARS = {None: "null", True: "true", False: "false"}
+        return json.dumps(value)
+    return ends[0] + inner + f",{inner}".join(items) + indent + ends[1] if value else ends
 
 
 def _emit(payload, output: str | None) -> None:
-    _write(_dumps(_jsonable(payload)) + "\n", output)
+    _write(_dumps(payload) + "\n", output)
 
 
 def _write(text: str, output: str | None) -> None:
@@ -219,11 +211,7 @@ def _cmd_oracle(args) -> int:
     A = load(_read_json(args.files[0], digest))
     B = load(_read_json(args.files[1], digest))
     witness = search(A, B, max_points=args.max_points)
-    payload = {
-        "relation": args.relation,
-        "found": witness is not None,
-        "witness": list(witness) if witness is not None else None,
-    }
+    payload = {"relation": args.relation, "found": witness is not None, "witness": witness}
     _emit(_stamp(payload, digest), args.output)
     return 0
 
@@ -268,13 +256,7 @@ def _cmd_urysohn(args) -> int:
         },
         "homogeneity": {
             "holds": hom_ok,
-            "witness": None
-            if stuck is None
-            else {
-                "domain": list(stuck[0]),
-                "codomain": list(stuck[1]),
-                "stuck_point": stuck[2],
-            },
+            "witness": stuck and dict(zip(("domain", "codomain", "stuck_point"), stuck)),
         },
     }
     _emit(_stamp(payload, digest), args.output)
@@ -290,14 +272,18 @@ def _cmd_mpf(args) -> int:
     f = func_from_json(raw)
     if args.action == "check":
         ok, witness = is_metric_preserving_finite(f)
-        payload = {
-            "metric_preserving": ok,
-            "witness": list(witness) if witness is not None else None,
-        }
+        payload = {"metric_preserving": ok, "witness": witness}
     else:
         payload = {"sufficient": check_sufficient_condition(f)}
     _emit(_stamp(payload, digest), args.output)
     return 0
+
+
+def _int_flag(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 @functools.cache
@@ -327,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="search for a witness of a relation")
     p.add_argument("relation", choices=tuple(_ORACLES))
     p.add_argument("files", nargs=2)
-    p.add_argument("--max-points", type=int)
+    p.add_argument("--max-points", type=_int_flag)
     p.add_argument("--output")
     p.set_defaults(run=_cmd_oracle)
 
@@ -335,15 +321,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("relation_in", choices=tuple(_ORACLES))
     p.add_argument("relation_out", choices=tuple(_ORACLES))
     p.add_argument("--input", required=True)
-    p.add_argument("--max-points", type=int)
+    p.add_argument("--max-points", type=_int_flag)
     p.add_argument("--output")
     p.set_defaults(run=_cmd_reduce)
 
     p = sub.add_parser("urysohn", help="grow and verify a saturation stage")
     p.add_argument("--input", required=True)
-    p.add_argument("--budget", type=int, default=40)
-    p.add_argument("--embed-bound", type=int, default=3)
-    p.add_argument("--homog-bound", type=int, default=2)
+    p.add_argument("--budget", type=_int_flag, default=40)
+    p.add_argument("--embed-bound", type=_int_flag, default=3)
+    p.add_argument("--homog-bound", type=_int_flag, default=2)
     p.add_argument("--output")
     p.set_defaults(run=_cmd_urysohn)
 

@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 from .constructions import Graph
 from .errors import GuardrailExceeded
 from .metric import FiniteMetricSpace
-from .rationals import _joint
+from .rationals import _joint, parse_int
 
 DEFAULT_MAX_POINTS = 12
 
@@ -50,7 +50,7 @@ def _bound(max_points: Optional[int]) -> int:
     if not env:
         return DEFAULT_MAX_POINTS
     try:
-        return int(env)
+        return parse_int(env)
     except ValueError:
         raise ValueError(f"DISTSET_MAX_POINTS must be an integer, got {env!r}") from None
 

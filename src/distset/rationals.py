@@ -14,8 +14,14 @@ from typing import Iterable, NamedTuple, Sequence
 
 RationalLike = Fraction | int | str
 
-# [0-9], not \d: \d and int() take the digits of every script
-_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([+-]?[0-9]+))?$")
+# [0-9], not \d: \d and int() take the digits of every script, and int()
+# also '1_0'
+_INTEGER = r"[+-]?[0-9]+"
+_INT_RE = re.compile(_INTEGER)
+_RATIONAL_RE = re.compile(rf"^({_INTEGER})(?:/({_INTEGER}))?$")
+
+# the JSON text of None, True and False; look up nothing else, as 1 == True
+JSON_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def parse_rational(text: str) -> Fraction:
@@ -24,6 +30,13 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise TypeError(f"expected a 'p/q' string, got {text!r}")
     return Fraction(*_split(text))
+
+
+def parse_int(text: str) -> int:
+    """An integer as parse_rational reads a numerator: sign, ASCII digits."""
+    if _INT_RE.fullmatch(text.strip()) is None:
+        raise ValueError(f"malformed integer {text!r}")
+    return int(text)
 
 
 def _split(text: str) -> tuple[int, int]:

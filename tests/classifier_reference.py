@@ -8,9 +8,17 @@ both on the same descriptions and require equal reports (JSON key order
 included) and equal text. The helpers that did not change are imported from
 distset.classifier; build_report reads the registered-witness flag from
 has_shrinking_witness as it did.
+
+_jsonable is the report writer's first walk as it was before distset.cli
+wrote Fractions itself: it turned every Fraction into its "p/q" string and
+copied the payload, which json.dumps then wrote. Report comparisons run
+through it, and tests/test_cli.py requires cli._dumps(v) to equal
+json.dumps(_jsonable(v), sort_keys=True, indent=2).
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from distset.classifier import (
     IsomVerdict,
@@ -31,6 +39,7 @@ from distset.distance_sets import (
     facts_to_json_dict,
     has_shrinking_witness,
 )
+from distset.rationals import format_rational
 
 _TOPOLOGY_TAGS = (
     ("only_zero_dimensional", "Thm 3.4(1)"),
@@ -248,3 +257,19 @@ def render_report_text(report: dict) -> str:
     ):
         lines.append(tagged(key, report[key], key))
     return "\n".join(lines) + "\n"
+
+
+# leaves that JSON writes as they are
+_PLAIN = frozenset({str, int, bool, type(None)})
+
+
+def _jsonable(value):
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, dict):
+        return {key: _jsonable(val) for key, val in value.items()}
+    if isinstance(value, (list, tuple)):
+        if _PLAIN.issuperset(map(type, value)):  # a written matrix row, say
+            return value
+        return [_jsonable(item) for item in value]
+    return value

@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from distset.cli import _jsonable
+from classifier_reference import _jsonable
 from distset.classifier import ISOMETRY_GUARDS, build_report
 from distset.constructions import Graph, TreeData, check_tree_suitable, glue, graph_space, max_product, tree_space
 from distset.distance_sets import SetFacts, desc_from_json, facts_consistent

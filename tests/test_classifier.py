@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import classifier_reference as cref
+from classifier_reference import _jsonable
 from distset.classifier import (
     COMPLEXITY_CLASSES,
     ISOMETRY_GUARDS,
@@ -37,7 +38,6 @@ from distset.distance_sets import (
     desc_from_json,
     facts_consistent,
 )
-from distset.cli import _jsonable
 from distset.errors import NotRealizable
 
 F = Fraction

@@ -5,10 +5,12 @@ import hashlib
 import json
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import classifier_reference as cref
 from distset import __version__
 from distset import cli
 from distset.cli import main
@@ -583,23 +585,62 @@ def test_reduce_reports_a_bad_space_with_its_own_loader(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: matrix file: 'n' must be an integer\n")
 
 
+# payloads as the commands build them: Fractions (negative ones, and ones
+# with denominator 1, included) and tuples next to the JSON leaves
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+    | st.fractions()
+    | st.integers().map(Fraction),
     lambda inner: st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(st.text(), inner),
     max_leaves=40,
 )
 
 
+def _reference_dumps(value):
+    """The writer as it was: a copy with every Fraction formatted, then json."""
+    return json.dumps(cref._jsonable(value), sort_keys=True, indent=2)
+
+
 @given(JSON_VALUES)
 def test_writer_matches_json_dumps(value):
-    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert cli._dumps(value) == _reference_dumps(value)
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
 
 
 @pytest.mark.parametrize(
-    "value", [[], {}, [[]], ["a", "b"], [1, 2], [1, "a"], [True, 1], {"k": [0, "0"]}, [[1, 2], [3]]]
+    "value",
+    [
+        [], {}, [[]], ["a", "b"], [1, 2], [1, "a"], [True, 1], {"k": [0, "0"]}, [[1, 2], [3]],
+        [Fraction(1, 2), "1/2"],
+        (Fraction(3),),
+        {"k": []},
+        _Dict(b=Fraction(-1, 2), a=[1, (2, "3")]),
+        _Dict(),
+        [[], {}, [[]], {"k": {}}, ((),)],
+        _List([Fraction(-7), True, None]),
+        _Fraction(3, 4),
+        [False, 0, None, 0.5],
+        (1, "a"),
+        {"b": (Fraction(-3), Fraction(5, 2)), "a": {"z": True, "y": None}, "c": (0, 1)},
+    ],
 )
 def test_writer_matches_json_dumps_on_edge_shapes(value):
-    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert cli._dumps(value) == _reference_dumps(value)
 
 
 @pytest.mark.parametrize(
@@ -720,3 +761,74 @@ def test_main_parses_generated_argv_as_the_top_level_parser_does(
     assert sum("unrecognized arguments" in err for err in errors) >= 40  # left over
     assert sum("usage: distset [-h]" in err for err in errors) >= 150
     assert [] in (argv for argv, *_ in outcomes)
+
+
+# every integer flag, as (argv before the flag, the flag)
+INT_FLAGS = [
+    (("oracle", "isometry", "{a}", "{a}"), "--max-points"),
+    (("reduce", "isometry", "isometry", "--input", "{r}"), "--max-points"),
+    (("urysohn", "--input", "{d}"), "--budget"),
+    (("urysohn", "--input", "{d}"), "--embed-bound"),
+    (("urysohn", "--input", "{d}"), "--homog-bound"),
+]
+
+
+def _int_flag_files(tmp_path):
+    return {
+        "a": write_json(tmp_path / "a.json", PAIR_1),
+        "r": write_json(tmp_path / "r.json", [{"input": [PAIR_1, PAIR_1], "transformed": [PAIR_1, PAIR_1]}]),
+        "d": write_json(tmp_path / "d.json", [{"kind": "finite", "values": ["0", "1", "2"]}]),
+    }
+
+
+@pytest.mark.parametrize("text", ["\u0663", "1_0", "\uff13"])
+@pytest.mark.parametrize("head, flag", INT_FLAGS, ids=[f for _, f in INT_FLAGS])
+def test_integer_flags_take_ascii_digits_only(capsys, tmp_path, head, flag, text):
+    # int() reads '\u0663' (Arabic-Indic 3), '1_0' and '\uff13' (fullwidth 3)
+    files = _int_flag_files(tmp_path)
+    argv = [a.format(**files) for a in head] + [flag, text]
+    result, out, err = _parsed(capsys, main, argv)
+    assert (result, out) == (("exit", 2), "")
+    assert err.endswith(f"error: argument {flag}: invalid int value: {text!r}\n")
+
+
+@pytest.mark.parametrize("head, flag", INT_FLAGS, ids=[f for _, f in INT_FLAGS])
+def test_integer_flags_allow_surrounding_whitespace(capsys, tmp_path, head, flag):
+    # as parse_rational does; the default value written out gives the same run
+    files = _int_flag_files(tmp_path)
+    head = [a.format(**files) for a in head]
+    value = {"--max-points": "12", "--budget": "40", "--embed-bound": "3", "--homog-bound": "2"}[flag]
+    spaced = run(capsys, *head, flag, f" {value} ")
+    assert spaced == run(capsys, *head, flag, value) == run(capsys, *head)
+    assert spaced[0] == 0
+
+
+@pytest.mark.parametrize(
+    "text", ["x", "", "1.5", "0x10", "5 6", "+4", "-1", "007", " 5 ", "5\n", "\u0663", "1_0", "\uff13"]
+)
+def test_integer_flag_reads_ascii_digits_as_int_does(capsys, text):
+    # same value, or the same usage error text, as type=int, except that
+    # only ASCII digits are digits
+    def parse(kind):
+        parser = argparse.ArgumentParser(prog="p")
+        parser.add_argument("--n", type=kind)
+        return _parsed(capsys, parser.parse_args, ["--n", text])
+
+    got, want = parse(cli._int_flag), parse(int)
+    if text in ("\u0663", "1_0", "\uff13"):
+        assert want[0].n in (3, 10)
+        assert got == (("exit", 2), "", f"usage: p [-h] [--n N]\np: error: argument --n: invalid int value: {text!r}\n")
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("text", ["\u0663", "1_0", "\uff13", " 13 "])
+def test_max_points_variable_takes_ascii_digits_only(capsys, tmp_path, monkeypatch, text):
+    monkeypatch.setenv("DISTSET_MAX_POINTS", text)
+    src = write_json(tmp_path / "a.json", TRI_112)
+    code, out, err = run(capsys, "oracle", "isometry", src, src)
+    if text == " 13 ":
+        assert (code, err) == (0, "") and json.loads(out)["found"] is True
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: DISTSET_MAX_POINTS must be an integer, got {text!r}\n"

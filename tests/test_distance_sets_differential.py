@@ -22,9 +22,9 @@ from fractions import Fraction
 import pytest
 
 import classifier_reference as cref
+from classifier_reference import _jsonable
 import distance_sets_reference as ref
 from distset.classifier import build_report, render_report_text
-from distset.cli import _jsonable
 from distset.distance_sets import (
     ClosedInterval,
     DenseRationals,

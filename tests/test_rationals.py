@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from distset.errors import FourValuesFails
 from distset.metric_preserving import slope_construction
-from distset.rationals import _codes, _decoded, format_rational, parse_rational, rat
+from distset.rationals import _codes, _decoded, format_rational, parse_int, parse_rational, rat
 from distset.urysohn import enumerate_spaces_up_to_isometry, urysohn_stage
 
 
@@ -43,6 +43,18 @@ def test_parse_rejects_non_strings(bad):
     # JSON numbers and other non-strings are a TypeError, not an AttributeError
     with pytest.raises(TypeError, match=r"^expected a 'p/q' string, got "):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize("text, value", [("7", 7), ("-3", -3), ("+4", 4), (" 5 ", 5), ("007", 7)])
+def test_parse_int_reads_signed_ascii_digits(text, value):
+    assert parse_int(text) == value
+
+
+@pytest.mark.parametrize("bad", ["", " ", "x", "1.5", "1/1", "0x10", "5 6", "1_0", "\u0663", "\uff13"])
+def test_parse_int_rejects_what_is_no_ascii_integer(bad):
+    # int() takes the last three: '1_0' as 10, Arabic-Indic and fullwidth 3 as 3
+    with pytest.raises(ValueError, match=re.escape(f"malformed integer {bad!r}")):
+        parse_int(bad)
 
 
 def test_parse_rejects_zero_denominator():

@@ -177,8 +177,10 @@ def read_shape(data, shape: Leaf | ListOf | dict, kind: str):
         raise ValueError(f"{kind} file: {exc}") from None
 
 
-def _read(value, shape, where: str):
-    """`where` names the value in messages."""
+def _read(value, shape, where):
+    """`where` names the value in messages: a str, or (noun, i, where of
+    the list) for entry i of a list, which _place turns into text only when
+    a fault is raised."""
     if isinstance(shape, ListOf):
         item = shape.item
         leaves = isinstance(item, Leaf)
@@ -188,19 +190,19 @@ def _read(value, shape, where: str):
             or (leaves and item.types is not None and not item.types.issuperset(map(type, value)))
         ):
             count = f"{shape.length} " if shape.length else ""
-            raise _Misfit(f"{where} must be a list of {count}{shape.noun}s")
+            raise _Misfit(f"{_place(where)} must be a list of {count}{shape.noun}s")
         if leaves:
             return tuple(map(parse_rational, value) if item.rational else value)
         read = []
         for i, entry in enumerate(value):
             try:
-                read.append(_read(entry, item, f"{shape.noun} {i} of {where}"))
+                read.append(_read(entry, item, (shape.noun, i, where)))
             except _Misfit as exc:
                 raise _Misfit(f"bad {shape.noun} entry {entry!r}: {exc}") from None
         return tuple(read)
     if isinstance(shape, Leaf):
         if shape.types is not None and type(value) not in shape.types:
-            raise _Misfit(f"{where} must be {shape.a}")
+            raise _Misfit(f"{_place(where)} must be {shape.a}")
         return parse_rational(value) if shape.rational else value
     if type(value) is not dict or value.keys() != shape.keys():
         keys = ", ".join(shape)
@@ -212,3 +214,11 @@ def _read(value, shape, where: str):
         names = f"{', '.join(most)} and {last}" if most else last
         raise _Misfit(f"{names} must be {'lists' if most else 'a list'}")
     return {key: _read(value[key], sub, repr(key)) for key, sub in shape.items()}
+
+
+def _place(where) -> str:
+    """The text of a location _read was given."""
+    if type(where) is str:
+        return where
+    noun, i, outer = where
+    return f"{noun} {i} of {_place(outer)}"

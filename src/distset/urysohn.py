@@ -8,21 +8,29 @@ order, until either no demand is left at the requested levels or the size
 budget is hit. Determinism makes stages replayable and prefix-monotone in
 the budget.
 
+Every Katetov value tuple comes from one interval-mask table, fits[a][b]:
+the bit mask over the positive codes of the v with |a - b| <= v <= a + b,
+an interval. _katetov_tuples walks the tuples g over a set of points depth
+first, in lex order, and the values coordinate i admits are one AND of
+fits[d(i, t)][g[t]] over t < i, so a prefix that breaks a triangle is never
+extended; the stage, the class listing and katetov_extensions take their
+tuples from it.
+
 A stage keeps one unmet-demand frontier for its whole growth: for each
-subset the scan has reached, the points it has taken in so far and the value
-tuples g, in lex order, that _extends accepts over the subset and that no
-outside point realizes yet. Distances never change once a point is added, so
-the accepted tuples are fixed when the subset is first reached, and each scan
-only strikes out the patterns of the points added since the last one. Every
-demand it finds is met: A passes the 4-values condition, which is
-amalgamation for finite A-spaces, so a new point is filled greedily.
+subset the scan has reached, the points it has taken in so far and the
+Katetov tuples g over the subset, in lex order, that no outside point
+realizes yet. Distances never change once a point is added, so the tuples
+are fixed when the subset is first reached, and each scan only strikes out
+the patterns of the points added since the last one. Every demand it finds
+is met: A passes the 4-values condition, which is amalgamation for finite
+A-spaces, so a new point is filled greedily.
 
 A stage also keeps one index, at[t][a]: the bit mask of the points at
 distance code a from point t (the row's oracles._label_masks). A new point
 sets one bit per old point and brings its own row, and the completion reads
 how many points see a pair (u, t) at labels (a, b) as the bit count of
-at[u][a] & at[t][b]; the values a coordinate admits are one AND of the
-interval masks of one per-stage table, fits.
+at[u][a] & at[t][b]. The completion keeps one admissible mask per
+coordinate, narrowed through fits each time a value is placed.
 
 Stage growth, the class listing, universality and the homogeneity check run
 on the integer codes of rationals._codes, which states why every comparison,
@@ -32,13 +40,13 @@ their codes.
 
 The class listing grows each size from the one before: deleting a point of
 an A-space leaves one, so it extends each representative on n - 1 points by
-every value tuple _extends accepts and keeps one space per canonical key, the
-least upper-triangle slot tuple (combinations order) over all n! relabelings,
-each read off the flattened matrix by one cached itemgetter.
-The keys are sorted because a lex-ordered product over all slot tuples (the
-test reference) meets each class first at exactly its key, in key order; so
-the representatives, their order, and the first missing space that
-verify_universality reports are the same.
+each of its Katetov tuples, in the walk's lex order, and keeps one space per
+canonical key, the least upper-triangle slot tuple (combinations order) over
+all n! relabelings, each read off the flattened matrix by one cached
+itemgetter. The keys are sorted because a lex-ordered product over all slot
+tuples (the test reference) meets each class first at exactly its key, in
+key order; so the representatives, their order, and the first missing space
+that verify_universality reports are the same.
 
 verify_universality walks the listing as a tree. Each class records the
 parent and the tuple g it was first met from, and the relabeling that reads
@@ -59,7 +67,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, combinations, islice, permutations, product, repeat
+from itertools import chain, combinations, islice, permutations, repeat
 from math import lcm
 from operator import and_, itemgetter
 from typing import Iterable, Optional
@@ -123,6 +131,59 @@ def is_valid_katetov(base: FiniteMetricSpace, values: tuple[Fraction, ...]) -> b
     return _extends(base.dist, range(base.n), values)
 
 
+def _fits(positive: list) -> dict:
+    """fits[a][b], for codes a and b in 0 and positive: the bit mask over
+    positive of the v with |a - b| <= v <= a + b, an interval of bits, and
+    symmetric in a and b. A new point at v from u and at new[t] from t keeps
+    the triangle on u and t iff v is in fits[d(u, t)][new[t]]. For a
+    positive, fits[a][0] is the bit of a alone, so a whole matrix row, its 0
+    included, can be read through fits[a]."""
+    codes = [0, *positive]
+    return {
+        a: {b: (1 << bisect_right(positive, a + b)) - (1 << bisect_left(positive, abs(a - b))) for b in codes}
+        for a in codes
+    }
+
+
+def _katetov_tuples(rows, positive: list, fits: dict) -> list:
+    """Every tuple g over positive, in lex order, that _extends accepts over
+    the points 0, ..., len(rows) - 1, where rows[i] holds the codes d(i, t)
+    for t < i, and fits is _fits(positive).
+
+    A depth-first walk: the values coordinate i admits are one AND of
+    fits[d(i, t)][g[t]] over t < i (all of positive at i = 0), an interval,
+    tried from its lowest value, so the tuples come in product order and a
+    prefix that breaks a triangle is never extended. Each value the last
+    coordinate admits completes one tuple.
+    """
+    last = len(rows) - 1
+    if last < 0:
+        return [()]
+    full = (1 << len(positive)) - 1
+    g = [0] * len(rows)
+    out: list = []
+    todo: list = []  # todo[k] iterates over the values left to try at coordinate k
+    i = 0
+    while True:
+        admit = reduce(and_, map(dict.__getitem__, map(fits.__getitem__, rows[i]), g), full)
+        if admit:
+            values = positive[(admit & -admit).bit_length() - 1 : admit.bit_length()]
+            if i == last:
+                prefix = tuple(g[:last])
+                out += [(*prefix, v) for v in values]
+            else:
+                todo.append(iter(values))
+        while todo:  # the next value of the deepest coordinate that has one
+            v = next(todo[-1], None)
+            if v is not None:
+                i = len(todo)
+                g[i - 1] = v
+                break
+            todo.pop()
+        else:
+            return out
+
+
 def katetov_extensions(X: FiniteMetricSpace, A: Iterable[Fraction]) -> list[KatetovFunction]:
     """All one-point extension value tuples over A, in lex order."""
     allowed = set(A)
@@ -130,11 +191,10 @@ def katetov_extensions(X: FiniteMetricSpace, A: Iterable[Fraction]) -> list[Kate
         if v not in allowed:
             raise SpectrumNotInA(v)
     positive = sorted(v for v in allowed if v > 0)
-    out = []
-    for values in product(positive, repeat=X.n):
-        if is_valid_katetov(X, values):
-            out.append(KatetovFunction(X, values))
-    return out
+    _, (codes, *rows) = _codes([positive, *X.dist])
+    value_of = dict(zip(codes, positive))
+    tuples = _katetov_tuples([row[:i] for i, row in enumerate(rows)], codes, _fits(codes))
+    return [KatetovFunction(X, tuple(map(value_of.__getitem__, g))) for g in tuples]
 
 
 def extend_one_point(X: FiniteMetricSpace, g: KatetovFunction) -> FiniteMetricSpace:
@@ -155,13 +215,14 @@ class StageResult:
     log: tuple[tuple[Fraction, ...], ...]
 
 
-def _first_unmet_demand(dist, n: int, positive, j_max: int, frontier: dict, accepted: dict):
-    """The first (subset, g) in (size, subset, g) lex order that _extends
-    accepts and no point outside subset realizes.
+def _first_unmet_demand(dist, n: int, positive, j_max: int, frontier: dict, accepted: dict, fits: dict):
+    """The first (subset, g) in (size, subset, g) lex order such that g is a
+    Katetov tuple over subset (_katetov_tuples) that no point outside subset
+    realizes.
 
-    frontier[subset] is [points seen, dict of the unmet g in lex order]. What
-    _extends accepts over a subset depends only on the distances inside it,
-    so accepted keeps that list per (inner distances, size). The column
+    frontier[subset] is [points seen, dict of the unmet g in lex order]. The
+    Katetov tuples over a subset depend only on the distances inside it, so
+    accepted keeps their list per (inner distances, size). The column
     slices of the subset's rows give the patterns of the new points; a point
     inside the subset has a 0 in its pattern, which no g has.
     """
@@ -171,8 +232,8 @@ def _first_unmet_demand(dist, n: int, positive, j_max: int, frontier: dict, acce
             if entry is None:
                 inner = tuple(dist[a][b] for a, b in combinations(subset, 2)), j
                 if inner not in accepted:
-                    tuples = product(positive, repeat=j)
-                    accepted[inner] = [g for g in tuples if _extends(dist, subset, g)]
+                    rows = [[dist[s][t] for t in subset[:i]] for i, s in enumerate(subset)]
+                    accepted[inner] = _katetov_tuples(rows, positive, fits)
                 entry = frontier[subset] = [0, dict.fromkeys(accepted[inner])]
             seen, unmet = entry
             if seen < n and unmet:
@@ -209,14 +270,17 @@ def _complete_new_point(dist, at: list, n: int, positive, fits: dict, subset, g)
     Free coordinates are filled in index order, so when u is filled the
     placed points are the ones below u and the subset's above it. v is
     admissible for u iff |d(u, t) - new[t]| <= v <= d(u, t) + new[t] for each
-    placed t, and fits[a][b] is the bit mask over positive of the v with
-    |a - b| <= v <= a + b: one AND of intervals, so an interval, None if it
-    is empty. u takes the admissible value whose pair patterns are rarest
-    now, ties to the smallest: an unmet-only count lets one value flood the
-    space, and pair demands then regenerate forever. The pair (u, t) weighs
-    lcm(1, ..., n) // (1 + m), m the number of points w with d(w, u) = v and
-    d(w, t) = new[t], which is the bit count of at[u][v] & at[t][new[t]];
-    both labels are positive, so neither u nor t is among them.
+    placed t, that is iff v is in fits[new[t]][d(u, t)] (see _fits). admit
+    holds that AND for every coordinate: placing new[t] narrows all the
+    coordinates after t (all of them, for a point of subset) by one
+    C-level map through the row fits[new[t]]. The AND of intervals is an
+    interval; None if it is empty. u takes the admissible value whose pair
+    patterns are rarest now, ties to the smallest: an unmet-only count lets
+    one value flood the space, and pair demands then regenerate forever.
+    The pair (u, t) weighs lcm(1, ..., n) // (1 + m), m the number of points
+    w with d(w, u) = v and d(w, t) = new[t], which is the bit count of
+    at[u][v] & at[t][new[t]], and seen lists at[t][new[t]] for each placed
+    t; both labels are positive, so neither u nor t is among the w.
 
     No choice is undone: the placed values form a one-point extension of the
     placed points that no point realizes (it would realize g, which is
@@ -224,32 +288,32 @@ def _complete_new_point(dist, at: list, n: int, positive, fits: dict, subset, g)
     (Sauer), so the extension reaches all n points.
     """
     new = [None] * n
+    admit = [(1 << len(positive)) - 1] * n
+    seen = []
     for s, v in zip(subset, g):
         new[s] = v
+        admit = list(map(and_, admit, map(fits[v].__getitem__, dist[s])))
+        seen.append(at[s].get(v, 0))
     weight = _weights(n)
 
     for u in range(n):
         if new[u] is not None:  # u is in subset: the free points are filled in order
             continue
-        above = subset[bisect_right(subset, u) :]
-        d_placed, at_placed = dist[u][:u], new[:u]
-        if above:
-            d_placed += [dist[u][t] for t in above]
-            at_placed += [new[t] for t in above]
-        admissible = reduce(and_, map(dict.__getitem__, map(fits.__getitem__, d_placed), at_placed))
-        if not admissible & (admissible - 1):
-            if not admissible:
+        mask, masks = admit[u], at[u]
+        if not mask & (mask - 1):
+            if not mask:
                 return None
-            new[u] = positive[admissible.bit_length() - 1]
-            continue
-        seen = list(map(dict.get, at[:u] + [at[t] for t in above], at_placed, repeat(0)))
-        masks = at[u]
-        values = positive[(admissible & -admissible).bit_length() - 1 : admissible.bit_length()]
-        coverage = [
-            sum(map(weight.__getitem__, map(int.bit_count, map(masks.get(v, 0).__and__, seen))))
-            for v in values
-        ]
-        new[u] = values[coverage.index(max(coverage))]  # the first, so the smallest, of the best
+            v = positive[mask.bit_length() - 1]
+        else:
+            values = positive[(mask & -mask).bit_length() - 1 : mask.bit_length()]
+            coverage = [
+                sum(map(weight.__getitem__, map(int.bit_count, map(masks.get(v, 0).__and__, seen))))
+                for v in values
+            ]
+            v = values[coverage.index(max(coverage))]  # the first, so the smallest, of the best
+        new[u] = v
+        seen.append(masks.get(v, 0))
+        admit[u + 1 :] = map(and_, admit[u + 1 :], map(fits[v].__getitem__, dist[u][u + 1 :]))
     return new
 
 
@@ -280,8 +344,7 @@ def urysohn_stage(
         raise ValueError("budgets and bounds must be >= 1")
 
     positive = [c for c in codes if c > 0]
-    fits = {a: {b: (1 << bisect_right(positive, a + b)) - (1 << bisect_left(positive, abs(a - b)))
-                for b in positive} for a in positive}  # as _complete_new_point reads them
+    fits = _fits(positive)
     j_max = max(embed_bound - 1, homog_bound)
     dist: list[list[int]] = [[0]]
     n = 1
@@ -290,7 +353,7 @@ def urysohn_stage(
     frontier: dict = {}
     accepted: dict = {}
 
-    while (demand := _first_unmet_demand(dist, n, positive, j_max, frontier, accepted)) and (
+    while (demand := _first_unmet_demand(dist, n, positive, j_max, frontier, accepted, fits)) and (
         n < size_budget
     ):
         subset, g = demand
@@ -346,16 +409,16 @@ def _class_levels(positive: list, max_size: int):
     extension E of representative number parent of the size before by the
     value tuple g, and E at (p[i], p[j]) is rows at (i, j).
     """
+    fits = _fits(positive)
     level: list = [[]]  # the empty space, whose one extension is the point
     for n in range(1, max_size + 1):
         first: dict = {}
         for parent, dist in enumerate(level):
-            for g in product(positive, repeat=n - 1):
-                if _extends(dist, range(n - 1), g):
-                    ext = [row + [g[i]] for i, row in enumerate(dist)] + [[*g, 0]]
-                    key = _canonical_key(ext)
-                    if key not in first:
-                        first[key] = parent, g, ext
+            for g in _katetov_tuples([row[:i] for i, row in enumerate(dist)], positive, fits):
+                ext = [row + [g[i]] for i, row in enumerate(dist)] + [[*g, 0]]
+                key = _canonical_key(ext)
+                if key not in first:
+                    first[key] = parent, g, ext
         classes = []
         for key in sorted(first):
             parent, g, ext = first[key]

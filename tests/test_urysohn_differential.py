@@ -45,6 +45,13 @@ replaced, which must give the same new point. Their free values include
 forced single values, ties broken to the smallest value and unique best
 values, each counted from the definitions; the uncompletable demand above
 compares the None path.
+
+The walk over the interval-mask table must list the same Katetov tuples, in
+the same order, as the product filter it replaced (ref.product_katetov_tuples)
+on 240 seeded coded spaces of 0-5 points over 1-5 positive values: small
+integers, powers of ten such as {1, 10, 100}, where most tuples fail, and
+codes above 2^64. katetov_extensions must give the old loop's list, order
+and SpectrumNotInA on the same spaces over Fractions.
 """
 
 import collections
@@ -58,8 +65,8 @@ import pytest
 
 import distset.urysohn as urysohn
 import urysohn_reference as ref
-from distset.errors import InvariantViolation
-from distset.metric import FiniteMetricSpace, subspace, validate_metric
+from distset.errors import InvariantViolation, SpectrumNotInA
+from distset.metric import FiniteMetricSpace, distance_spectrum, subspace, validate_metric
 from distset.oracles import find_embedding
 from distset.rationals import _codes
 from distset.urysohn import (
@@ -638,3 +645,95 @@ def test_completion_matches_bisect_reference(monkeypatch):
     assert len(calls) > 2000
     assert min(choices[kind] for kind in ("single", "tie", "best")) >= 100, choices
 
+
+
+# --- Katetov tuples from the interval-mask table -----------------------------------
+
+
+def _katetov_space(rng, positive: list, n: int) -> list:
+    """A coded space on up to n points over positive, grown one point at a
+    time at a random tuple the product reference accepts; it stops early
+    when no tuple is accepted."""
+    dist: list = []
+    while len(dist) < n:
+        tuples = ref.product_katetov_tuples(dist, positive)
+        if not tuples:
+            break
+        g = rng.choice(tuples)
+        dist = [row + [v] for row, v in zip(dist, g)] + [[*g, 0]]
+    return dist
+
+
+def _katetov_cases(count: int, seed: int = 20181023) -> list:
+    """count seeded (space, positive) pairs, cycling through three kinds of
+    positive sets, each of 1-5 values: small integers, where most tuples
+    pass; powers of ten such as {1, 10, 100}, where most triples fail; and
+    small integers times 2^64 + 1 plus a small offset, codes above 2^64. The
+    spaces have 0-5 points."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        size = 1 + i % 5
+        if i % 3 == 0:
+            positive = sorted(rng.sample(range(1, 13), size))
+        elif i % 3 == 1:
+            positive = [10**k for k in sorted(rng.sample(range(6), size))]
+        else:
+            positive = sorted({v * (2**64 + 1) + rng.randint(0, 2) for v in rng.sample(range(1, 9), size)})
+        cases.append((_katetov_space(rng, positive, (i // 5) % 6), positive))
+    return cases
+
+
+KATETOV_CASES = _katetov_cases(240)
+
+
+def test_katetov_cases_cover_the_stated_ranges():
+    assert {len(dist) for dist, _ in KATETOV_CASES} == set(range(6))
+    assert {len(positive) for _, positive in KATETOV_CASES} == set(range(1, 6))
+    assert [10, 100] in [positive[1:3] for _, positive in KATETOV_CASES]
+    assert max(max(positive) for _, positive in KATETOV_CASES) > 2**64
+    counts = [len(ref.product_katetov_tuples(dist, positive)) for dist, positive in KATETOV_CASES]
+    assert sum(count > 1 for count in counts) >= 100
+    # on the powers of ten most tuples fail
+    sparse = [(dist, p) for dist, p in KATETOV_CASES[1::3] if len(dist) >= 3 and len(p) >= 3]
+    tried = sum(len(p) ** len(dist) for dist, p in sparse)
+    assert sum(len(ref.product_katetov_tuples(dist, p)) for dist, p in sparse) < tried // 4
+
+
+@pytest.mark.parametrize("case", range(len(KATETOV_CASES)))
+def test_katetov_tuples_match_product_reference(case):
+    dist, positive = KATETOV_CASES[case]
+    rows = [row[:i] for i, row in enumerate(dist)]
+    got = urysohn._katetov_tuples(rows, positive, urysohn._fits(positive))
+    assert got == ref.product_katetov_tuples(dist, positive)
+
+
+@pytest.mark.parametrize("n", (0, 1, 2))
+def test_katetov_tuples_over_no_values(n):
+    # the constant tuple at the largest value always fits, so only an empty
+    # value set leaves a nonempty space with no tuple
+    dist = [[0] * n for _ in range(n)]
+    got = urysohn._katetov_tuples([row[:i] for i, row in enumerate(dist)], [], urysohn._fits([]))
+    assert got == ref.product_katetov_tuples(dist, []) == ([()] if n == 0 else [])
+
+
+def _outcome(extensions, X, A):
+    try:
+        return [g.values for g in extensions(X, A)]
+    except SpectrumNotInA as exc:
+        return type(exc), exc.args
+
+
+@pytest.mark.parametrize("case", range(0, len(KATETOV_CASES), 4))
+def test_katetov_extensions_match_product_reference(case):
+    # the same space on a Fraction scale, over its values with 0, without
+    # one of its distances, and with two values it does not realize
+    dist, positive = KATETOV_CASES[case]
+    X = validate_metric([[Fraction(v, 3) for v in row] for row in dist]) if dist else FiniteMetricSpace(0, ())
+    values = {Fraction(v, 3) for v in positive} | {Fraction(0)}
+    realized = set(distance_spectrum(X)) - {0}
+    for A in (values, values - set(sorted(realized)[-1:]), values | {Fraction(1, 7), Fraction(99)}):
+        want = _outcome(ref.product_katetov_extensions, X, A)
+        assert _outcome(urysohn.katetov_extensions, X, A) == want
+        got = urysohn.katetov_extensions(X, A) if type(want) is list else []
+        assert all(g.base is X and type(v) is Fraction for g in got for v in g.values)

@@ -19,6 +19,11 @@ large for the Fraction pipeline.
 counter_urysohn_stage is distset.urysohn's stage before the growth index:
 the pair counts are a Counter of (u, t, a, b) keys. The listing_ pair is its
 universality check before the class tree: every class through find_embedding.
+
+product_katetov_tuples and product_katetov_extensions are the filter that
+distset.urysohn's walk over the interval-mask table replaced in the stage's
+accepted lists, the class listing and katetov_extensions: every tuple of
+the product, kept when _extends accepts it.
 """
 
 from __future__ import annotations
@@ -32,8 +37,15 @@ from operator import add, sub
 from typing import Iterable, Optional
 
 import distset.urysohn as urysohn
-from distset.errors import BudgetTooSmall, FourValuesFails, InvariantViolation
-from distset.metric import FiniteMetricSpace, _coded_space, _extends, _space, validate_metric
+from distset.errors import BudgetTooSmall, FourValuesFails, InvariantViolation, SpectrumNotInA
+from distset.metric import (
+    FiniteMetricSpace,
+    _coded_space,
+    _extends,
+    _space,
+    distance_spectrum,
+    validate_metric,
+)
 from distset.oracles import find_embedding, find_isometry
 from distset.rationals import _codes, _decoded
 from distset.urysohn import StageResult
@@ -355,8 +367,9 @@ def int_canonical_key(dist) -> tuple:
 # counter_urysohn_stage is urysohn_stage; it calls distset.urysohn's
 # four_values_check (the Fraction loop above is too slow for a thousand
 # stages) and finds its demands through the module attribute
-# first_unmet_demand, the frontier scan distset.urysohn still uses, so a test
-# can put int_first_unmet_demand's rescan in its place.
+# first_unmet_demand, the frontier scan distset.urysohn still uses (which
+# takes the stage's interval-mask table, distset.urysohn._fits, last), so a
+# test can put int_first_unmet_demand's rescan in its place.
 
 first_unmet_demand = urysohn._first_unmet_demand
 
@@ -464,7 +477,8 @@ def counter_urysohn_stage(
     frontier: dict = {}
     accepted: dict = {}
 
-    while (demand := first_unmet_demand(dist, n, positive, j_max, frontier, accepted)) and (
+    fits = urysohn._fits(positive)
+    while (demand := first_unmet_demand(dist, n, positive, j_max, frontier, accepted, fits)) and (
         n < size_budget
     ):
         subset, g = demand
@@ -588,3 +602,29 @@ def bisect_complete_new_point(dist, at: list, n: int, positive, subset, g) -> li
 
         new[u] = min(admissible, key=lambda v: (-coverage(v), v))
     return new
+
+
+# --- Katetov tuples before the interval-mask walk ---------------------------------
+# the product filter distset.urysohn ran in _first_unmet_demand, _class_levels
+# and katetov_extensions, verbatim but for the names.
+
+
+def product_katetov_tuples(dist, positive) -> list:
+    """Every tuple over positive, in lex order, that _extends accepts over the
+    points of the square matrix dist."""
+    m = len(dist)
+    return [g for g in product(positive, repeat=m) if _extends(dist, range(m), g)]
+
+
+def product_katetov_extensions(X: FiniteMetricSpace, A: Iterable[Fraction]) -> list:
+    """All one-point extension value tuples over A, in lex order."""
+    allowed = set(A)
+    for v in distance_spectrum(X):
+        if v not in allowed:
+            raise SpectrumNotInA(v)
+    positive = sorted(v for v in allowed if v > 0)
+    out = []
+    for values in product(positive, repeat=X.n):
+        if urysohn.is_valid_katetov(X, values):
+            out.append(urysohn.KatetovFunction(X, values))
+    return out

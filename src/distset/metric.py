@@ -7,8 +7,10 @@ the rationals put it. A space built here carries the codes it was checked
 on, and dist is decoded from them when it is first read, one Fraction per
 distinct code; a space built by hand as FiniteMetricSpace(n, dist) is coded
 on first use. Either way it equals, hashes and prints as the other.
-Validation scans row-major and reports the first witness, so error
-positions are reproducible.
+Outside FiniteMetricSpace nothing reads dist: the spectrum is decoded from
+the codes, and a subspace carries its parent's codes, sliced, on the
+parent's scale. Validation scans row-major and reports the first witness,
+so error positions are reproducible.
 
 The first checks run at C level, row by row and on the transpose; only a
 matrix that fails them is scanned entry by entry for the first fault. The
@@ -52,8 +54,6 @@ from .errors import (
     TriangleViolation,
 )
 from .rationals import INT, Leaf, ListOf, RationalLike, _codes, _decoded, _formatted, _ratio, read_shape
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -165,26 +165,15 @@ def _triangles_hold(d: Sequence[Sequence[int]], low: list[int], top: int) -> boo
     return True
 
 
-def _extends(dist, points: Sequence[int], values: Sequence) -> bool:
-    """Whether a new point at distance values[a] from points[a], for each a,
-    keeps every triangle it closes: |v_a - v_b| <= d(p_a, p_b) <= v_a + v_b.
-    """
-    for a, va in enumerate(values):
-        row = dist[points[a]]
-        for b in range(a + 1, len(values)):
-            vb = values[b]
-            if not abs(va - vb) <= row[points[b]] <= va + vb:
-                return False
-    return True
-
-
 def distance_spectrum(space: FiniteMetricSpace) -> tuple[Fraction, ...]:
     """All realized distances including 0, deduplicated, ascending."""
-    values = {ZERO}
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            values.add(space.dist[i][j])
-    return tuple(sorted(values))
+    scale, rows = space._coded
+    return _decoded([sorted(_spectrum(rows))], scale)[0]
+
+
+def _spectrum(rows: Sequence[Sequence[int]]) -> set:
+    """The codes of distance_spectrum: 0 and every entry above the diagonal."""
+    return {0}.union(*(row[i + 1 :] for i, row in enumerate(rows)))
 
 
 def is_ultrametric(space: FiniteMetricSpace) -> bool:
@@ -209,8 +198,8 @@ def subspace(space: FiniteMetricSpace, indices: Iterable[int]) -> FiniteMetricSp
     for i in picked:
         if not 0 <= i < space.n:
             raise IndexOutOfRange(i, space.n)
-    d = tuple(tuple(space.dist[i][j] for j in picked) for i in picked)
-    return FiniteMetricSpace(len(picked), d)
+    scale, rows = space._coded
+    return _coded_space(scale, [[rows[i][j] for j in picked] for i in picked])
 
 
 def space_to_json_dict(space: FiniteMetricSpace) -> dict:

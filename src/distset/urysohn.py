@@ -14,7 +14,10 @@ an interval. _katetov_tuples walks the tuples g over a set of points depth
 first, in lex order, and the values coordinate i admits are one AND of
 fits[d(i, t)][g[t]] over t < i, so a prefix that breaks a triangle is never
 extended; the stage, the class listing and katetov_extensions take their
-tuples from it.
+tuples from it. is_valid_katetov reads one entry per pair s < t of a
+tuple g, the bit of d(s, t) in _fit(codes, g[s], g[t]) over the space's
+codes: the same triangle, as v is in [|a - b|, a + b] exactly when a is in
+[|v - b|, v + b].
 
 A stage keeps one unmet-demand frontier for its whole growth: for each
 subset the scan has reached, the points it has taken in so far and the
@@ -32,11 +35,11 @@ how many points see a pair (u, t) at labels (a, b) as the bit count of
 at[u][a] & at[t][b]. The completion keeps one admissible mask per
 coordinate, narrowed through fits each time a value is placed.
 
-Stage growth, the class listing, universality and the homogeneity check run
-on the integer codes of rationals._codes, which states why every comparison,
-sort order and choice is the one the rationals would give; Fractions appear
-only in their arguments and results, and the spaces they return carry
-their codes.
+Stage growth, the class listing, universality, homogeneity and one-point
+extensions run on the integer codes of rationals._codes, which states why
+every comparison, sort order and choice is the one the rationals would give;
+Fractions appear only in their arguments and results, and the spaces they
+return carry their codes.
 
 The class listing grows each size from the one before: deleting a point of
 an A-space leaves one, so it extends each representative on n - 1 points by
@@ -73,18 +76,9 @@ from operator import and_, itemgetter
 from typing import Iterable, Optional
 
 from .errors import BudgetTooSmall, FourValuesFails, InvariantViolation, SpectrumNotInA
-from .metric import (
-    FiniteMetricSpace,
-    _coded_space,
-    _extends,
-    _space,
-    distance_spectrum,
-    validate_metric,
-)
+from .metric import FiniteMetricSpace, _coded_space, _space, _spectrum
 from .oracles import _label_masks, find_embedding
 from .rationals import _codes, _decoded, _joint
-
-ZERO = Fraction(0)
 
 
 def four_values_check(values: Iterable[Fraction]) -> tuple[bool, Optional[tuple]]:
@@ -126,29 +120,40 @@ class KatetovFunction:
 
 
 def is_valid_katetov(base: FiniteMetricSpace, values: tuple[Fraction, ...]) -> bool:
+    """Whether values gives one positive distance per point of base and
+    keeps every triangle (module doc), base and values on one scale; as
+    g[s], g[t] > 0, each mask is an interval, exact whatever base holds."""
     if len(values) != base.n or any(v <= 0 for v in values):
         return False
-    return _extends(base.dist, range(base.n), values)
+    _, ((g,), d) = _joint(_codes([values]), base._coded)
+    codes = sorted(set(chain.from_iterable(d)))
+    return all(
+        _fit(codes, v, w) >> bisect_left(codes, a) & 1
+        for s, v in enumerate(g)
+        for a, w in zip(d[s][s + 1 :], g[s + 1 :])
+    )
+
+
+def _fit(positive: list, a: int, b: int) -> int:
+    """The bit mask over the sorted codes positive of the v with |a - b| <=
+    v <= a + b: an interval of bits, symmetric in a and b."""
+    return (1 << bisect_right(positive, a + b)) - (1 << bisect_left(positive, abs(a - b)))
 
 
 def _fits(positive: list) -> dict:
-    """fits[a][b], for codes a and b in 0 and positive: the bit mask over
-    positive of the v with |a - b| <= v <= a + b, an interval of bits, and
-    symmetric in a and b. A new point at v from u and at new[t] from t keeps
-    the triangle on u and t iff v is in fits[d(u, t)][new[t]]. For a
-    positive, fits[a][0] is the bit of a alone, so a whole matrix row, its 0
-    included, can be read through fits[a]."""
+    """fits[a][b] = _fit(positive, a, b), for codes a and b in 0 and
+    positive. A new point at v from u and at new[t] from t keeps the
+    triangle on u and t iff v is in fits[d(u, t)][new[t]]. For a positive,
+    fits[a][0] is the bit of a alone, so a whole matrix row, its 0 included,
+    can be read through fits[a]."""
     codes = [0, *positive]
-    return {
-        a: {b: (1 << bisect_right(positive, a + b)) - (1 << bisect_left(positive, abs(a - b))) for b in codes}
-        for a in codes
-    }
+    return {a: {b: _fit(positive, a, b) for b in codes} for a in codes}
 
 
 def _katetov_tuples(rows, positive: list, fits: dict) -> list:
-    """Every tuple g over positive, in lex order, that _extends accepts over
-    the points 0, ..., len(rows) - 1, where rows[i] holds the codes d(i, t)
-    for t < i, and fits is _fits(positive).
+    """Every tuple g over positive, in lex order, with |g[i] - g[t]| <=
+    d(i, t) <= g[i] + g[t] for all points t < i < len(rows), where rows[i]
+    holds the codes d(i, t) for t < i, and fits is _fits(positive).
 
     A depth-first walk: the values coordinate i admits are one AND of
     fits[d(i, t)][g[t]] over t < i (all of positive at i = 0), an interval,
@@ -187,11 +192,11 @@ def _katetov_tuples(rows, positive: list, fits: dict) -> list:
 def katetov_extensions(X: FiniteMetricSpace, A: Iterable[Fraction]) -> list[KatetovFunction]:
     """All one-point extension value tuples over A, in lex order."""
     allowed = set(A)
-    for v in distance_spectrum(X):
-        if v not in allowed:
-            raise SpectrumNotInA(v)
     positive = sorted(v for v in allowed if v > 0)
-    _, (codes, *rows) = _codes([positive, *X.dist])
+    scale, ((codes,), rows) = _joint(_codes([positive]), X._coded)
+    outside = _spectrum(rows).difference(codes, [0] if 0 in allowed else [])
+    if outside:
+        raise SpectrumNotInA(Fraction(min(outside), scale))
     value_of = dict(zip(codes, positive))
     tuples = _katetov_tuples([row[:i] for i, row in enumerate(rows)], codes, _fits(codes))
     return [KatetovFunction(X, tuple(map(value_of.__getitem__, g))) for g in tuples]
@@ -203,9 +208,8 @@ def extend_one_point(X: FiniteMetricSpace, g: KatetovFunction) -> FiniteMetricSp
         raise InvariantViolation(
             "extension values break the two-sided bounds |g(x)-g(y)| <= d(x,y) <= g(x)+g(y)"
         )
-    rows = [list(X.dist[i]) + [g.values[i]] for i in range(X.n)]
-    rows.append(list(g.values) + [ZERO])
-    return validate_metric(rows)
+    scale, ((new,), rows) = _joint(_codes([g.values]), X._coded)
+    return _space(scale, [row + [v] for row, v in zip(rows, new)] + [new + [0]])
 
 
 @dataclass(frozen=True)
@@ -338,7 +342,7 @@ def urysohn_stage(
     ok, witness = four_values_check(codes)
     if not ok:
         raise FourValuesFails(_decoded([witness], scale)[0])
-    if ZERO not in values:
+    if 0 not in values:
         raise ValueError("the distance set must contain 0")
     if size_budget < 1 or embed_bound < 1 or homog_bound < 1:
         raise ValueError("budgets and bounds must be >= 1")

@@ -1,5 +1,6 @@
 """Amalgamation, one-point extensions, and saturation stages."""
 
+import re
 import time
 from fractions import Fraction
 
@@ -86,6 +87,32 @@ def test_is_valid_katetov_negatives():
     assert is_valid_katetov(pair, (F(1), F(3)))  # |3-1| = 2, lower bound met
     assert is_valid_katetov(pair, (F(1), F(1)))  # 1 + 1 = 2, upper bound met
     assert is_valid_katetov(pair, (F(1), F(2)))
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((1.0, 1.5), "not an exact rational: 1.0"),
+        ((True, True), "bool is not a rational"),
+        ((0.1 + 0.2, F(3, 10)), "not an exact rational: 0.30000000000000004"),
+    ],
+)
+def test_is_valid_katetov_refuses_floats_and_bools(values, message):
+    # values are read by the rationals coder, as everywhere else: a float
+    # raises, where compared as a float 0.1 + 0.2 would not be 3/10
+    pair = validate_metric([[0, 2], [2, 0]])
+    with pytest.raises(TypeError, match=re.escape(message)):
+        is_valid_katetov(pair, values)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        extend_one_point(pair, KatetovFunction(pair, values))
+
+
+def test_strings_are_refused_as_values_and_as_A():
+    pair = validate_metric([[0, 2], [2, 0]])
+    with pytest.raises(TypeError):
+        is_valid_katetov(pair, ("1", "3"))
+    with pytest.raises(TypeError):
+        katetov_extensions(pair, {F(0), F(2), "3"})
 
 
 def test_extend_one_point_grows_space():

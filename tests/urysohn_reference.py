@@ -24,6 +24,14 @@ product_katetov_tuples and product_katetov_extensions are the filter that
 distset.urysohn's walk over the interval-mask table replaced in the stage's
 accepted lists, the class listing and katetov_extensions: every tuple of
 the product, kept when _extends accepts it.
+
+_extends is the one-point triangle test distset.metric kept for
+is_valid_katetov after every other one-point test had moved to
+urysohn._fits. is_valid_katetov, katetov_extensions and extend_one_point
+are those functions as they read a space's Fractions: the first through
+_extends, the second coding A with the decoded rows of X, the third
+validating the extended matrix from Fractions. They call this module's
+is_valid_katetov and metric_reference's distance_spectrum.
 """
 
 from __future__ import annotations
@@ -34,23 +42,30 @@ from fractions import Fraction
 from itertools import chain, combinations, islice, permutations, product, repeat
 from math import lcm
 from operator import add, sub
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import distset.urysohn as urysohn
 from distset.errors import BudgetTooSmall, FourValuesFails, InvariantViolation, SpectrumNotInA
-from distset.metric import (
-    FiniteMetricSpace,
-    _coded_space,
-    _extends,
-    _space,
-    distance_spectrum,
-    validate_metric,
-)
+from distset.metric import FiniteMetricSpace, _coded_space, _space, validate_metric
 from distset.oracles import find_embedding, find_isometry
 from distset.rationals import _codes, _decoded
-from distset.urysohn import StageResult
+from distset.urysohn import KatetovFunction, StageResult, _fits, _katetov_tuples
+from metric_reference import distance_spectrum
 
 ZERO = Fraction(0)
+
+
+def _extends(dist, points: Sequence[int], values: Sequence) -> bool:
+    """Whether a new point at distance values[a] from points[a], for each a,
+    keeps every triangle it closes: |v_a - v_b| <= d(p_a, p_b) <= v_a + v_b.
+    """
+    for a, va in enumerate(values):
+        row = dist[points[a]]
+        for b in range(a + 1, len(values)):
+            vb = values[b]
+            if not abs(va - vb) <= row[points[b]] <= va + vb:
+                return False
+    return True
 
 
 def _is_metric_triple(a, b, c) -> bool:
@@ -625,6 +640,41 @@ def product_katetov_extensions(X: FiniteMetricSpace, A: Iterable[Fraction]) -> l
     positive = sorted(v for v in allowed if v > 0)
     out = []
     for values in product(positive, repeat=X.n):
-        if urysohn.is_valid_katetov(X, values):
+        if is_valid_katetov(X, values):
             out.append(urysohn.KatetovFunction(X, values))
     return out
+
+
+# --- the one-point functions before codes -----------------------------------------
+# distset.urysohn's is_valid_katetov, katetov_extensions and extend_one_point
+# as they read X.dist, verbatim.
+
+
+def is_valid_katetov(base: FiniteMetricSpace, values: tuple[Fraction, ...]) -> bool:
+    if len(values) != base.n or any(v <= 0 for v in values):
+        return False
+    return _extends(base.dist, range(base.n), values)
+
+
+def katetov_extensions(X: FiniteMetricSpace, A: Iterable[Fraction]) -> list[KatetovFunction]:
+    """All one-point extension value tuples over A, in lex order."""
+    allowed = set(A)
+    for v in distance_spectrum(X):
+        if v not in allowed:
+            raise SpectrumNotInA(v)
+    positive = sorted(v for v in allowed if v > 0)
+    _, (codes, *rows) = _codes([positive, *X.dist])
+    value_of = dict(zip(codes, positive))
+    tuples = _katetov_tuples([row[:i] for i, row in enumerate(rows)], codes, _fits(codes))
+    return [KatetovFunction(X, tuple(map(value_of.__getitem__, g))) for g in tuples]
+
+
+def extend_one_point(X: FiniteMetricSpace, g: KatetovFunction) -> FiniteMetricSpace:
+    """Adjoin one point at the distances g prescribes."""
+    if not is_valid_katetov(X, g.values):
+        raise InvariantViolation(
+            "extension values break the two-sided bounds |g(x)-g(y)| <= d(x,y) <= g(x)+g(y)"
+        )
+    rows = [list(X.dist[i]) + [g.values[i]] for i in range(X.n)]
+    rows.append(list(g.values) + [ZERO])
+    return validate_metric(rows)

@@ -1,157 +1,63 @@
 """Exact tools for distance sets of metric spaces: which sets of rationals
 arise as all the distances of a space, what the spaces over a given set can
-look like, and how hard the attached classification problems are."""
+look like, and how hard the attached classification problems are.
 
-from .classifier import (
-    ComplexityVerdict,
-    EmbedVerdict,
-    IsomVerdict,
-    build_report,
-    classify_VA,
-    classify_VAstar,
-    classify_embeddability,
-    classify_isometry,
-    classify_topology,
-    facts_realizable,
-    render_report_text,
-    urysohn_exists,
-)
-from .constructions import (
-    Graph,
-    TreeData,
-    check_tree_suitable,
-    glue,
-    graph_from_json_dict,
-    graph_space,
-    graph_to_json_dict,
-    max_product,
-    space_to_graph,
-    tree_space,
-)
-from .distance_sets import (
-    ClosedInterval,
-    DenseRationals,
-    DistanceSetDesc,
-    FiniteSet,
-    GeomDown,
-    GeomUp,
-    HalfOpenInterval,
-    SetFacts,
-    compute_facts,
-    contains,
-    desc_from_json,
-    desc_to_json,
-    facts_consistent,
-    facts_to_json_dict,
-    has_shrinking_witness,
-    is_distance_set,
-)
-from .errors import DistSetError
-from .metric import (
-    FiniteMetricSpace,
-    distance_spectrum,
-    is_ultrametric,
-    space_from_json_dict,
-    space_to_json_dict,
-    subspace,
-    validate_metric,
-)
-from .metric_preserving import (
-    TabulatedFunction,
-    check_sufficient_condition,
-    func_from_json,
-    func_to_json,
-    is_metric_preserving_finite,
-    slope_construction,
-)
-from .oracles import (
-    find_embedding,
-    find_isometry,
-    graph_embed,
-    graph_iso,
-    verify_reduction,
-)
-from .rationals import format_rational, parse_rational, rat
-from .urysohn import (
-    KatetovFunction,
-    StageResult,
-    extend_one_point,
-    four_values_check,
-    katetov_extensions,
-    urysohn_stage,
-    verify_one_point_homogeneity,
-    verify_universality,
-)
+`_EXPORTS` lists each public name once, under the module that defines it.
+`import distset` imports none of those modules; a module is imported when
+one of its names, or the module itself, is first read from the package."""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClosedInterval",
-    "ComplexityVerdict",
-    "DenseRationals",
-    "DistSetError",
-    "DistanceSetDesc",
-    "EmbedVerdict",
-    "FiniteMetricSpace",
-    "FiniteSet",
-    "GeomDown",
-    "GeomUp",
-    "Graph",
-    "HalfOpenInterval",
-    "IsomVerdict",
-    "KatetovFunction",
-    "SetFacts",
-    "StageResult",
-    "TabulatedFunction",
-    "TreeData",
-    "build_report",
-    "check_sufficient_condition",
-    "check_tree_suitable",
-    "classify_VA",
-    "classify_VAstar",
-    "classify_embeddability",
-    "classify_isometry",
-    "classify_topology",
-    "compute_facts",
-    "contains",
-    "desc_from_json",
-    "desc_to_json",
-    "distance_spectrum",
-    "extend_one_point",
-    "facts_consistent",
-    "facts_realizable",
-    "facts_to_json_dict",
-    "find_embedding",
-    "find_isometry",
-    "format_rational",
-    "four_values_check",
-    "func_from_json",
-    "func_to_json",
-    "glue",
-    "graph_embed",
-    "graph_from_json_dict",
-    "graph_iso",
-    "graph_space",
-    "graph_to_json_dict",
-    "has_shrinking_witness",
-    "is_distance_set",
-    "is_metric_preserving_finite",
-    "is_ultrametric",
-    "katetov_extensions",
-    "max_product",
-    "parse_rational",
-    "rat",
-    "render_report_text",
-    "slope_construction",
-    "space_from_json_dict",
-    "space_to_graph",
-    "space_to_json_dict",
-    "subspace",
-    "tree_space",
-    "urysohn_exists",
-    "urysohn_stage",
-    "validate_metric",
-    "verify_one_point_homogeneity",
-    "verify_reduction",
-    "verify_universality",
-]
+_EXPORTS = {
+    "classifier": (
+        "ComplexityVerdict", "EmbedVerdict", "IsomVerdict", "build_report", "classify_VA",
+        "classify_VAstar", "classify_embeddability", "classify_isometry", "classify_topology",
+        "render_report_text", "urysohn_exists",
+    ),
+    "constructions": (
+        "Graph", "TreeData", "check_tree_suitable", "glue", "graph_from_json_dict",
+        "graph_space", "graph_to_json_dict", "max_product", "space_to_graph", "tree_space",
+    ),
+    "distance_sets": (
+        "ClosedInterval", "DenseRationals", "DistanceSetDesc", "FiniteSet", "GeomDown", "GeomUp",
+        "HalfOpenInterval", "SetFacts", "compute_facts", "contains", "desc_from_json",
+        "desc_to_json", "facts_consistent", "facts_realizable", "facts_to_json_dict",
+        "has_shrinking_witness", "is_distance_set",
+    ),
+    "errors": ("DistSetError",),
+    "metric": (
+        "FiniteMetricSpace", "distance_spectrum", "is_ultrametric", "space_from_json_dict",
+        "space_to_json_dict", "subspace", "validate_metric",
+    ),
+    "metric_preserving": (
+        "TabulatedFunction", "check_sufficient_condition", "func_from_json", "func_to_json",
+        "is_metric_preserving_finite", "slope_construction",
+    ),
+    "oracles": ("find_embedding", "find_isometry", "graph_embed", "graph_iso", "verify_reduction"),
+    "rationals": ("format_rational", "parse_rational", "rat"),
+    "urysohn": (
+        "KatetovFunction", "StageResult", "extend_one_point", "four_values_check",
+        "katetov_extensions", "urysohn_stage", "verify_one_point_homogeneity",
+        "verify_universality",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name in _OWNER:
+        value = getattr(_import_module(f".{_OWNER[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = _import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_OWNER, *_EXPORTS})

@@ -269,7 +269,9 @@ def _entry(verdict):
     return verdict
 
 
-# The report's keys after "facts", in JSON order.
+# The report's keys after "facts", in the order the realizable branch fills
+# them: the dict's key order is part of what build_report returns, and it
+# differs from the text report's.
 _VERDICT_KEYS = (
     "topology",
     "v_A",

@@ -7,7 +7,7 @@ from itertools import chain, product
 from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from distset.errors import FourValuesFails
 from distset.metric_preserving import slope_construction
@@ -92,6 +92,7 @@ VALUES = st.integers(-30, 30) | st.fractions(min_value=-30, max_value=30, max_de
 ROWS = st.lists(st.lists(VALUES, max_size=4), max_size=4)  # ragged, ints and Fractions
 
 
+@settings(deadline=None)
 @given(ROWS, st.integers(1, 6))
 def test_codes_round_trip_and_keep_order_equality_and_sums(rows, multiple):
     scale, codes = _codes(rows)

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import InvalidDescription, UnsupportedDescription
 from .rationals import format_rational, parse_rational
@@ -165,26 +164,18 @@ class SetFacts:
 def _power_index(x: Fraction, r0: Fraction, q: Fraction) -> int | None:
     """Exponent n >= 0 with x = r0 * q^n, or None.
 
-    q != 1 in reduced form a/b, so a^n/b^n is already reduced and the
-    exponent is read off an exact integer logarithm.
+    q != 1 in lowest terms a/b, so q^n = a^n/b^n is in lowest terms too: n is
+    the exact log of the part of x/r0 that matches the larger of a and b (at
+    least 2), and the other part of x/r0 must be the other of a, b to the n.
     """
     if x <= 0:
         return None
     ratio = x / r0
-    if ratio == 1:
-        return 0
-    a, b = q.numerator, q.denominator
-    c, d = ratio.numerator, ratio.denominator
-    n = _exact_log(c, a) if a > 1 else (0 if c == 1 else None)
-    m = _exact_log(d, b) if b > 1 else (0 if d == 1 else None)
-    if n is None or m is None:
-        return None
-    if a > 1 and b > 1 and n != m:
-        return None
-    k = max(n, m)
-    if k == 0:
-        return None
-    return k if (a**k == c and b**k == d) else None
+    a, b, c, d = q.numerator, q.denominator, ratio.numerator, ratio.denominator
+    if a < b:
+        a, b, c, d = b, a, d, c
+    n = _exact_log(c, a)
+    return n if n is not None and b**n == d else None
 
 
 def _exact_log(value: int, base: int) -> int | None:
@@ -276,41 +267,24 @@ def facts_realizable(facts: SetFacts) -> bool:
 # pair x < y <= 2x of distinct positive elements. Dense components violate
 # immediately; finite-vs-geometric pairs live in the window [x/2, 2x]; two
 # geometric sequences reduce to a multiplicative lattice problem when their
-# ratios share a primitive base, and are dense in ratio otherwise.
+# ratios are powers of one base, and are dense in ratio otherwise.
 
 
-def _iroot(n: int, k: int) -> int | None:
-    """Exact integer k-th root of n >= 1, else None."""
-    if n == 1 or k == 1:
-        return n if k == 1 else 1
-    hi = 2
-    while hi**k < n:
-        hi *= 2
-    lo = hi // 2
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        p = mid**k
-        if p == n:
-            return mid
-        if p < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
-
-
-def _primitive_base(q: Fraction) -> tuple[Fraction, int]:
-    """Largest k with q = base^k, for q > 1. base is then not a proper power."""
-    num, den = q.numerator, q.denominator
-    for k in range(num.bit_length(), 0, -1):
-        rn = _iroot(num, k)
-        if rn is None:
-            continue
-        rd = _iroot(den, k)
-        if rd is None:
-            continue
-        return Fraction(rn, rd), k
-    return q, 1
+def _common_base(a: Fraction, b: Fraction) -> Fraction | None:
+    """The largest s with a and b both integer powers of s, for a, b > 1, else
+    None: Euclid on exponents, as a = s^i > b = s^j gives a/b = s^(i-j). s in
+    lowest terms u/v has s^e = u^e/v^e, so while a and b are powers of one
+    base the larger one's numerator falls at every step. Once it does not they
+    are not, and as a positive integer it cannot fall forever.
+    """
+    while a != b:
+        if a < b:
+            a, b = b, a
+        top = a.numerator
+        a /= b
+        if max(a, b).numerator >= top:
+            return None
+    return a
 
 
 def _lattice_hits_doubling_window(c: Fraction, step: Fraction) -> bool:
@@ -322,50 +296,14 @@ def _lattice_hits_doubling_window(c: Fraction, step: Fraction) -> bool:
     return c <= TWO
 
 
-def _geom_elements_in(r0: Fraction, q: Fraction, lo: Fraction, hi: Fraction) -> list[Fraction]:
+def _geom_elements_in(r0: Fraction, q: Fraction, lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
     """Elements of { r0 * q^n : n >= 0 } inside [lo, hi]; needs lo > 0."""
-    out: list[Fraction] = []
     v = r0
-    if q < 1:
-        while v > hi:
-            v *= q
-        while v >= lo:
-            out.append(v)
-            v *= q
-    else:
-        while v < lo:
-            v *= q
-        while v <= hi:
-            out.append(v)
-            v *= q
-    return out
-
-
-def _geom_pair_has_violation(g1: tuple[Fraction, Fraction], g2: tuple[Fraction, Fraction]) -> bool:
-    r1, q1 = g1
-    r2, q2 = g2
-    if (q1 < 1) == (q2 < 1):
-        p1, k1 = _primitive_base(q1 if q1 > 1 else 1 / q1)
-        p2, k2 = _primitive_base(q2 if q2 > 1 else 1 / q2)
-        if p1 != p2:
-            # Incommensurable ratios: the pairwise quotients are dense in
-            # (0, oo), so some quotient lands in (1, 2].
-            return True
-        step = p1 ** gcd(k1, k2)
-        c = r2 / r1
-        return _lattice_hits_doubling_window(c, step) or _lattice_hits_doubling_window(1 / c, step)
-    # One sequence runs down, the other up: only finitely many elements of
-    # each lie near the crossover, where any factor-2 pair must live.
-    (rd, qd), (ru, qu) = ((r1, q1), (r2, q2)) if q1 < 1 else ((r2, q2), (r1, q1))
-    if ru > 2 * rd:
-        return False
-    down = _geom_elements_in(rd, qd, ru / 2, rd)
-    up = _geom_elements_in(ru, qu, ru, 2 * rd)
-    for x in down:
-        for y in up:
-            if x < y <= 2 * x or y < x <= 2 * y:
-                return True
-    return False
+    while (v > hi) if q < 1 else (v < lo):
+        v *= q
+    while lo <= v <= hi:
+        yield v
+        v *= q
 
 
 def _well_spaced(desc: DistanceSetDesc) -> bool:
@@ -379,9 +317,24 @@ def _well_spaced(desc: DistanceSetDesc) -> bool:
     # above 2 and takes about log2 of its span in steps.
     if any(max(q, 1 / q) <= TWO for _, q in geoms):
         return False
-    finite_vals = sorted(
-        {v for c in desc.components if isinstance(c, FiniteSet) for v in c.values if v > 0}
-    )
+    points = {v for c in desc.components if isinstance(c, FiniteSet) for v in c.values if v > 0}
+    for (r1, q1), (r2, q2) in combinations(geoms, 2):
+        if (q1 < 1) != (q2 < 1):
+            # One sequence runs down, the other up: in a factor-2 pair across
+            # them the down term lies in [ru/2, rd], so those terms join the
+            # finite points and meet the up sequence in the window check.
+            (rd, qd), ru = ((r1, q1), r2) if q1 < 1 else ((r2, q2), r1)
+            points.update(_geom_elements_in(rd, qd, ru / 2, rd))
+            continue
+        step = _common_base(max(q1, 1 / q1), max(q2, 1 / q2))
+        if step is None:
+            # Incommensurable ratios: the pairwise quotients are dense in
+            # (0, oo), so some quotient lands in (1, 2].
+            return False
+        c = r2 / r1
+        if _lattice_hits_doubling_window(c, step) or _lattice_hits_doubling_window(1 / c, step):
+            return False
+    finite_vals = sorted(points)
     for x, y in zip(finite_vals, finite_vals[1:]):
         if y <= 2 * x:
             return False
@@ -390,7 +343,7 @@ def _well_spaced(desc: DistanceSetDesc) -> bool:
             for e in _geom_elements_in(r0, q, v / 2, 2 * v):
                 if e != v and (e < v <= 2 * e or v < e <= 2 * v):
                     return False
-    return not any(_geom_pair_has_violation(g1, g2) for g1, g2 in combinations(geoms, 2))
+    return True
 
 
 # --- fact assembly -----------------------------------------------------------

@@ -82,11 +82,8 @@ def _ratio(value: RationalLike) -> tuple[int, int]:
 _EXACT = frozenset({int, str, Fraction})
 
 
-def _codes(
-    rows: Sequence[Iterable[RationalLike]], scale: int = 0
-) -> tuple[int, list[list[int]]]:
-    """(L, the rows times L as ints), L the lcm of every denominator in the
-    rows, or the given nonzero scale, which must be a multiple of each.
+def _codes(rows: Sequence[Iterable[RationalLike]]) -> tuple[int, list[list[int]]]:
+    """(L, the rows times L as ints), L the lcm of every denominator in the rows.
 
     Rows may differ in length and hold ints, Fractions or "p/q" strings. A
     faulty entry raises rat's error for the first fault in row-major order.
@@ -101,10 +98,10 @@ def _codes(
         for value in chain.from_iterable(rows):
             _ratio(value)
     if str not in kinds:
-        scale = scale or lcm(*{v.denominator for row in rows for v in row})
+        scale = lcm(*{v.denominator for row in rows for v in row})
         return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
     ratio = {v: _ratio(v) for v in dict.fromkeys(chain.from_iterable(rows))}
-    scale = scale or lcm(*(q for _, q in ratio.values()))
+    scale = lcm(*(q for _, q in ratio.values()))
     code = {v: p * (scale // q) for v, (p, q) in ratio.items()}
     return scale, [list(map(code.__getitem__, row)) for row in rows]
 

@@ -8,12 +8,21 @@ included) and the same exception class and message. The helpers that did
 not change are imported from distset.distance_sets, and compute_facts
 imports four_values_check by its absolute name; the rest is unchanged.
 
+Membership and well-spacing are kept as they were before distance_sets
+read a power off one exact log and found a common base by Euclid:
+contains, _component_contains and _power_index with its two-sided log,
+_iroot and _primitive_base with p ** gcd(k1, k2), the two-way walker
+_geom_elements_in, and the pair checker _geom_pair_has_violation.
+
 _well_spaced is kept as it was before it checked each geometric ratio
 first: it walks every finite value against every geometric component
 before it looks at any ratio, which takes 28.6 s at q = 9999/10000.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
 
 from distset.distance_sets import (
     _DENSE_KINDS,
@@ -30,12 +39,133 @@ from distset.distance_sets import (
     HalfOpenInterval,
     SetFacts,
     _component_sup,
-    _geom_elements_in,
-    _geom_pair_has_violation,
-    contains,
+    _exact_log,
+    _lattice_hits_doubling_window,
 )
 from distset.errors import InvalidDescription, UnsupportedDescription
 from distset.rationals import format_rational, parse_rational
+
+
+def _power_index(x: Fraction, r0: Fraction, q: Fraction) -> int | None:
+    """Exponent n >= 0 with x = r0 * q^n, or None.
+
+    q != 1 in reduced form a/b, so a^n/b^n is already reduced and the
+    exponent is read off an exact integer logarithm.
+    """
+    if x <= 0:
+        return None
+    ratio = x / r0
+    if ratio == 1:
+        return 0
+    a, b = q.numerator, q.denominator
+    c, d = ratio.numerator, ratio.denominator
+    n = _exact_log(c, a) if a > 1 else (0 if c == 1 else None)
+    m = _exact_log(d, b) if b > 1 else (0 if d == 1 else None)
+    if n is None or m is None:
+        return None
+    if a > 1 and b > 1 and n != m:
+        return None
+    k = max(n, m)
+    if k == 0:
+        return None
+    return k if (a**k == c and b**k == d) else None
+
+
+def contains(desc: DistanceSetDesc, x: Fraction) -> bool:
+    """Exact membership of x in the described union."""
+    return any(_component_contains(comp, x) for comp in desc.components)
+
+
+def _component_contains(comp: Component, x: Fraction) -> bool:
+    if isinstance(comp, FiniteSet):
+        return x in comp.values
+    if isinstance(comp, (GeomDown, GeomUp)):
+        return _power_index(x, comp.r0, comp.q) is not None
+    if isinstance(comp, ClosedInterval):
+        return 0 <= x <= comp.b
+    if isinstance(comp, HalfOpenInterval):
+        return 0 <= x < comp.b
+    return comp.a <= x <= comp.b
+
+
+def _iroot(n: int, k: int) -> int | None:
+    """Exact integer k-th root of n >= 1, else None."""
+    if n == 1 or k == 1:
+        return n if k == 1 else 1
+    hi = 2
+    while hi**k < n:
+        hi *= 2
+    lo = hi // 2
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        p = mid**k
+        if p == n:
+            return mid
+        if p < n:
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return None
+
+
+def _primitive_base(q: Fraction) -> tuple[Fraction, int]:
+    """Largest k with q = base^k, for q > 1. base is then not a proper power."""
+    num, den = q.numerator, q.denominator
+    for k in range(num.bit_length(), 0, -1):
+        rn = _iroot(num, k)
+        if rn is None:
+            continue
+        rd = _iroot(den, k)
+        if rd is None:
+            continue
+        return Fraction(rn, rd), k
+    return q, 1
+
+
+def _geom_elements_in(r0: Fraction, q: Fraction, lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """Elements of { r0 * q^n : n >= 0 } inside [lo, hi]; needs lo > 0."""
+    out: list[Fraction] = []
+    v = r0
+    if q < 1:
+        while v > hi:
+            v *= q
+        while v >= lo:
+            out.append(v)
+            v *= q
+    else:
+        while v < lo:
+            v *= q
+        while v <= hi:
+            out.append(v)
+            v *= q
+    return out
+
+
+def _geom_pair_has_violation(g1: tuple[Fraction, Fraction], g2: tuple[Fraction, Fraction]) -> bool:
+    r1, q1 = g1
+    r2, q2 = g2
+    if (q1 < 1) == (q2 < 1):
+        p1, k1 = _primitive_base(q1 if q1 > 1 else 1 / q1)
+        p2, k2 = _primitive_base(q2 if q2 > 1 else 1 / q2)
+        if p1 != p2:
+            # Incommensurable ratios: the pairwise quotients are dense in
+            # (0, oo), so some quotient lands in (1, 2].
+            return True
+        step = p1 ** gcd(k1, k2)
+        c = r2 / r1
+        return _lattice_hits_doubling_window(c, step) or _lattice_hits_doubling_window(1 / c, step)
+    # One sequence runs down, the other up: only finitely many elements of
+    # each lie near the crossover, where any factor-2 pair must live.
+    (rd, qd), (ru, qu) = ((r1, q1), (r2, q2)) if q1 < 1 else ((r2, q2), (r1, q1))
+    if ru > 2 * rd:
+        return False
+    down = _geom_elements_in(rd, qd, ru / 2, rd)
+    up = _geom_elements_in(ru, qu, ru, 2 * rd)
+    for x in down:
+        for y in up:
+            if x < y <= 2 * x or y < x <= 2 * y:
+                return True
+    return False
 
 
 def _component_contains_zero(comp: Component) -> bool:

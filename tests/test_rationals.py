@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from distset.errors import FourValuesFails
 from distset.metric_preserving import slope_construction
-from distset.rationals import _codes, _decoded, format_rational, parse_int, parse_rational, rat
+from distset.rationals import _codes, _decoded, _joint, format_rational, parse_int, parse_rational, rat
 from distset.urysohn import enumerate_spaces_up_to_isometry, urysohn_stage
 
 
@@ -109,8 +109,8 @@ def test_codes_round_trip_and_keep_order_equality_and_sums(rows, multiple):
         for z, cz in pairs:
             assert (x + y < z) == (cx + cy < cz) and (x + y == z) == (cx + cy == cz)
 
-    # an explicit multiple of the lcm scales every code by the same factor
-    wide, wide_codes = _codes(rows, scale * multiple)
+    # moved by _joint to a multiple of the lcm, every code scales by the same factor
+    wide, (wide_codes, _) = _joint((scale, codes), (scale * multiple, []))
     assert wide == scale * multiple
     assert wide_codes == [[c * multiple for c in row] for row in codes]
     assert _decoded(wide_codes, wide) == decoded

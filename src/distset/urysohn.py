@@ -42,26 +42,29 @@ Fractions appear only in their arguments and results, and the spaces they
 return carry their codes.
 
 The class listing grows each size from the one before: deleting a point of
-an A-space leaves one, so it extends each representative on n - 1 points by
-each of its Katetov tuples, in the walk's lex order, and keeps one space per
+an A-space leaves one, so it extends each class on n - 1 points by each of
+its Katetov tuples, in the walk's lex order, and keeps one extension per
 canonical key, the least upper-triangle slot tuple (combinations order) over
 all n! relabelings, each read off the flattened matrix by one cached
-itemgetter. The keys are sorted because a lex-ordered product over all slot
-tuples (the test reference) meets each class first at exactly its key, in
-key order; so the representatives, their order, and the first missing space
-that verify_universality reports are the same.
+itemgetter. A class is kept as ext, the extension it was first met as, new
+point last, and the next size grows from the exts; the classes met from a
+space, so each class's first parent, do not depend on its labelling. The
+keys are sorted because a lex-ordered product over all slot tuples (the
+test reference) meets each class first at exactly its key, in key order; so
+the representatives (read off the keys), their order, and the first missing
+space that verify_universality reports are the same.
 
-verify_universality walks the listing as a tree. Each class records the
-parent and the tuple g it was first met from, and the relabeling that reads
-its key off that extension; A and U go to one scale (U may realize
-distances outside A), and U gets the index above. A class embeds as its
-parent's image plus the lowest point of U at distance g[k] from the image
-of the parent's point k for every k: one AND of masks. Only when no point
-is does the public find_embedding search; a parent's other images may still
-extend, so its None alone marks a class missing, and classes are decided in
-listing order, so the verdict and the missing space are those of one search
-per class. On a stage saturated at the level the parent's image spans the
-AND is never empty (Katětov), so only unsaturated stages search.
+verify_universality walks the listing as a tree. A and U go to one scale
+(U may realize distances outside A), and U gets the index above. A class's
+ext is its parent's ext plus one point, so it embeds as its parent's image
+plus the lowest point of U at distance ext[-1][k] from the image of the
+parent's point k for every k: one AND of masks, and no relabeling. Only
+when no point is does the public find_embedding search, on ext; a parent's
+other images may still extend, so its None alone marks a class missing,
+and classes are decided in listing order, so the verdict and the missing
+space, read off its key, are those of one search per class. On a stage
+saturated at the level the parent's image spans the AND is never empty
+(Katětov), so only unsaturated stages search.
 """
 
 from __future__ import annotations
@@ -230,7 +233,7 @@ def _first_unmet_demand(dist, n: int, positive, j_max: int, frontier: dict, acce
     slices of the subset's rows give the patterns of the new points; a point
     inside the subset has a 0 in its pattern, which no g has.
     """
-    for j in range(1, j_max + 1):
+    for j in range(1, min(j_max, n) + 1):  # no j-subsets past n
         for subset in combinations(range(n), j):
             entry = frontier.get(subset)
             if entry is None:
@@ -378,13 +381,10 @@ def urysohn_stage(
 
 @cache
 def _relabelings(n: int) -> tuple:
-    """One (p, getter) per relabeling p of n >= 3 points; the getter reads a
-    flattened n x n matrix at (p[i], p[j]) for each upper-triangle slot
-    (i, j)."""
+    """One getter per relabeling p of n >= 3 points; it reads a flattened
+    n x n matrix at (p[i], p[j]) for each upper-triangle slot (i, j)."""
     slots = list(combinations(range(n), 2))
-    return tuple(
-        (p, itemgetter(*(p[i] * n + p[j] for i, j in slots))) for p in permutations(range(n))
-    )
+    return tuple(itemgetter(*(p[i] * n + p[j] for i, j in slots)) for p in permutations(range(n)))
 
 
 def _canonical_key(dist) -> tuple:
@@ -393,45 +393,35 @@ def _canonical_key(dist) -> tuple:
     if n <= 2:  # one slot at most: itemgetter would return a scalar
         return tuple(dist[i][j] for i, j in combinations(range(n), 2))
     flat = list(chain.from_iterable(dist))
-    return min(get(flat) for _, get in _relabelings(n))
+    return min(get(flat) for get in _relabelings(n))
 
 
-def _relabeling(dist, key: tuple) -> tuple:
-    """The first relabeling p whose slot tuple of dist is key."""
-    n = len(dist)
-    if n <= 2:
-        return tuple(range(n))
-    flat = list(chain.from_iterable(dist))
-    return next(p for p, get in _relabelings(n) if get(flat) == key)
+def _from_key(key: tuple, n: int) -> list:
+    """The n x n rows whose upper-triangle slot tuple is key."""
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(combinations(range(n), 2), key):
+        rows[i][j] = rows[j][i] = v
+    return rows
 
 
 def _class_levels(positive: list, max_size: int):
-    """The class listing, one size at a time from 1 to max_size: a list of
-    (rows, parent, g, p) per class in key order.
-
-    rows is the representative, read off its key. It is first met as the
-    extension E of representative number parent of the size before by the
-    value tuple g, and E at (p[i], p[j]) is rows at (i, j).
-    """
+    """The class listing, one size at a time from 1 to max_size, or to the
+    first size with no class: a list of (key, parent, ext) per class in key
+    order. ext is the extension the class was first met as: the ext of class
+    number parent of the size before, with one point added, listed last."""
     fits = _fits(positive)
     level: list = [[]]  # the empty space, whose one extension is the point
-    for n in range(1, max_size + 1):
+    for _ in range(max_size):
         first: dict = {}
         for parent, dist in enumerate(level):
             for g in _katetov_tuples([row[:i] for i, row in enumerate(dist)], positive, fits):
                 ext = [row + [g[i]] for i, row in enumerate(dist)] + [[*g, 0]]
-                key = _canonical_key(ext)
-                if key not in first:
-                    first[key] = parent, g, ext
-        classes = []
-        for key in sorted(first):
-            parent, g, ext = first[key]
-            rows = [[0] * n for _ in range(n)]
-            for (i, j), v in zip(combinations(range(n), 2), key):
-                rows[i][j] = rows[j][i] = v
-            classes.append((rows, parent, g, _relabeling(ext, key)))
+                first.setdefault(_canonical_key(ext), (parent, ext))
+        classes = [(key, *first[key]) for key in sorted(first)]
         yield classes
-        level = [rows for rows, *_ in classes]
+        level = [ext for *_, ext in classes]
+        if not level:  # then no larger space has a class either
+            return
 
 
 def enumerate_spaces_up_to_isometry(A: Iterable[Fraction], max_size: int) -> list[FiniteMetricSpace]:
@@ -439,17 +429,18 @@ def enumerate_spaces_up_to_isometry(A: Iterable[Fraction], max_size: int) -> lis
     isometry class, smallest first."""
     scale, (codes,) = _codes([sorted(set(A))])
     positive = [c for c in codes if c > 0]
-    reps = [rows for level in _class_levels(positive, max_size) for rows, *_ in level]
+    levels = _class_levels(positive, max_size)
+    reps = [_from_key(key, len(ext)) for level in levels for key, _, ext in level]
     # one decode for all classes: a Fraction per distinct code, not per class
     rows = iter(_decoded([row for dist in reps for row in dist], scale))
     return [_coded_space(scale, dist, tuple(islice(rows, len(dist)))) for dist in reps]
 
 
 def _class_embeddings(U: FiniteMetricSpace, A: Iterable[Fraction], s: int):
-    """(scale, rows, image) per class of the listing up to s points, in its
-    order (see the module doc): the representative's rows on the joint scale
-    of A and U, and an embedding into U as an index tuple, or None, after
-    which it stops."""
+    """(scale, ext, image) per class of the listing up to s points, in its
+    order (see the module doc): the extension the class was first met as,
+    on the joint scale of A and U, and an embedding of it into U as an
+    index tuple, or None, after which it stops."""
     cap = max(U.n, s)
     scale, ((codes,), d) = _joint(_codes([sorted(set(A))]), U._coded)
     at = list(map(_label_masks, d))
@@ -457,15 +448,14 @@ def _class_embeddings(U: FiniteMetricSpace, A: Iterable[Fraction], s: int):
     images: list = [()]
     for level in _class_levels([c for c in codes if c > 0], s):
         parents, images = images, []
-        for rows, parent, g, p in level:
+        for _, parent, ext in level:
             base = parents[parent]
-            hits = reduce(and_, map(dict.get, map(at.__getitem__, base), g, repeat(0)), everyone)
+            hits = reduce(and_, map(dict.get, map(at.__getitem__, base), ext[-1], repeat(0)), everyone)
             if hits:
-                ext = (*base, (hits & -hits).bit_length() - 1)
-                image = tuple(map(ext.__getitem__, p))
+                image = (*base, (hits & -hits).bit_length() - 1)
             else:
-                image = find_embedding(_coded_space(scale, rows), U, max_points=cap)
-            yield scale, rows, image
+                image = find_embedding(_coded_space(scale, ext), U, max_points=cap)
+            yield scale, ext, image
             if image is None:
                 return
             images.append(image)
@@ -478,9 +468,9 @@ def verify_universality(
 
     Returns (True, None) or (False, missing-space).
     """
-    for scale, rows, image in _class_embeddings(U, A, s):
+    for scale, ext, image in _class_embeddings(U, A, s):
         if image is None:
-            return False, _coded_space(scale, rows)
+            return False, _coded_space(scale, _from_key(_canonical_key(ext), len(ext)))
     return True, None
 
 
@@ -502,7 +492,7 @@ def verify_one_point_homogeneity(
     if k < 1:
         raise ValueError("k must be >= 1")
     d = U._coded[1]
-    for j in range(1, k + 1):
+    for j in range(1, min(k, U.n) + 1):  # no j-tuples past U.n
         slots = list(combinations(range(j), 2))
         groups: dict = {}
         for tup in permutations(range(U.n), j):
@@ -515,12 +505,9 @@ def verify_one_point_homogeneity(
                 pats = set(zip(*map(d.__getitem__, other)))
                 if pats == base:
                     continue
-                for pattern in sorted(base - pats):
-                    e = _point_realizing(d, U.n, first, pattern)
-                    return False, (first, other, e)
-                for pattern in sorted(pats - base):
-                    e = _point_realizing(d, U.n, other, pattern)
-                    return False, (other, first, e)
+                for dom, cod, lost in ((first, other, base - pats), (other, first, pats - base)):
+                    if lost:
+                        return False, (dom, cod, _point_realizing(d, U.n, dom, min(lost)))
     return True, None
 
 

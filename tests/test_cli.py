@@ -5,6 +5,7 @@ import hashlib
 import json
 import pathlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -386,6 +387,35 @@ def test_urysohn_stage_on_finite_description(capsys, tmp_path):
     assert payload["saturated"] is True
     assert payload["universality"]["holds"] is True
     assert payload["homogeneity"]["holds"] is True
+
+
+BIG = "1000000000"
+
+
+@pytest.mark.parametrize(
+    "values, small, big",
+    [
+        (
+            ["0"],
+            ["--embed-bound", "1", "--homog-bound", "1"],
+            ["--budget", BIG, "--embed-bound", BIG, "--homog-bound", BIG],
+        ),
+        (
+            ["0", "1"],
+            ["--budget", "5", "--embed-bound", "6", "--homog-bound", "5"],
+            ["--budget", "5", "--embed-bound", BIG, "--homog-bound", BIG],
+        ),
+    ],
+)
+def test_urysohn_bounds_past_the_point_count(capsys, tmp_path, values, small, big):
+    # past the stage's points and its last class a bound checks nothing
+    # more, so 10**9 gives the small bounds' bytes, and as fast
+    src = write_json(tmp_path / "d.json", [{"kind": "finite", "values": values}])
+    want = run(capsys, "urysohn", "--input", src, *small)
+    start = time.perf_counter()
+    got = run(capsys, "urysohn", "--input", src, *big)
+    assert time.perf_counter() - start < 5
+    assert got == want and want[0] == 0
 
 
 def test_urysohn_rejects_symbolic_description(capsys, tmp_path):

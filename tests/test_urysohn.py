@@ -269,3 +269,31 @@ def test_homogeneity_holds_on_equilateral():
 def test_homogeneity_rejects_bad_k():
     with pytest.raises(ValueError, match="k must be >= 1"):
         verify_one_point_homogeneity(TRI_112, 0)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        validate_metric([[0]]),
+        TRI_112,
+        validate_metric([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+        validate_metric([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]),
+        urysohn_stage(frs(0, 1), 5, 3, 2).space,
+    ],
+)
+def test_homogeneity_bound_past_the_point_count(space):
+    # no j-tuples exist past U.n, so a larger k checks nothing more and
+    # must cost no more
+    start = time.perf_counter()
+    assert verify_one_point_homogeneity(space, 10**9) == verify_one_point_homogeneity(space, space.n)
+    assert time.perf_counter() - start < 5
+
+
+def test_bounds_past_every_class_and_point():
+    # over {0} the one class is the point, and a stage is the point
+    start = time.perf_counter()
+    assert enumerate_spaces_up_to_isometry(frs(0), 10**9) == [validate_metric([[0]])]
+    stage = urysohn_stage(frs(0), 10**9, 10**9, 10**9)
+    assert stage.space == validate_metric([[0]]) and stage.saturated
+    assert verify_universality(stage.space, frs(0), 10**9) == (True, None)
+    assert time.perf_counter() - start < 5

@@ -39,6 +39,16 @@ extension fails but find_embedding finds a map, a U with distances outside
 A or on another scale, and s > U.n; every image the tree records must keep
 distances. A saturated stage never calls find_embedding; a failing one does.
 
+The class tree, grown from the extension each class was first met as, is
+compared with the keyed reference it replaced (ref.keyed_class_levels and
+ref.keyed_verify_universality) on 240 seeded (A, s, U): U a stage over A
+or over A and one more value, mostly unsaturated, or a subspace of one.
+Each size's (key, parent) list, the verdict and the missing space must be
+equal, each ext must be its parent's ext with the new point last, and each
+image must keep distances. A class whose ext is not its key's rows is made
+the first missing one on three sets, by a U of every class before it at a
+distance outside A.
+
 Every completion of the large stages and of one in twenty seeded stages runs
 through both the interval-mask completion and the bisect-slice one it
 replaced, which must give the same new point. Their free values include
@@ -66,7 +76,13 @@ import pytest
 import distset.urysohn as urysohn
 import urysohn_reference as ref
 from distset.errors import InvariantViolation, SpectrumNotInA
-from distset.metric import FiniteMetricSpace, distance_spectrum, subspace, validate_metric
+from distset.metric import (
+    FiniteMetricSpace,
+    _coded_space,
+    distance_spectrum,
+    subspace,
+    validate_metric,
+)
 from distset.oracles import find_embedding
 from distset.rationals import _codes
 from distset.urysohn import (
@@ -536,11 +552,11 @@ def test_universality_tree_matches_reference(case):
     space, A, s = UNIVERSALITY_TREE_CASES[case]
     U = space()
     assert verify_universality(U, A, s) == _reference_universality(U, A, s)
-    for scale, rows, image in urysohn._class_embeddings(U, A, s):
+    for scale, ext, image in urysohn._class_embeddings(U, A, s):
         if image is not None:
             assert len(set(image)) == len(image)
-            for i, j in itertools.combinations(range(len(rows)), 2):
-                assert U.dist[image[i]][image[j]] == Fraction(rows[i][j], scale)
+            for i, j in itertools.combinations(range(len(ext)), 2):
+                assert U.dist[image[i]][image[j]] == Fraction(ext[i][j], scale)
 
 
 def _counted_fallback(monkeypatch) -> list:
@@ -587,6 +603,143 @@ def test_a_failing_embed4_stage_falls_back(monkeypatch):
     ok, missing = verify_universality(stage.space, values, 4)
     assert not ok and missing.n == 4
     assert fallback and fallback[-1] is None
+
+
+# --- the class tree grown from extensions against the one grown from keys ---------
+
+
+def _tree_cases(count: int, seed: int = 20181025) -> list:
+    """count seeded (A, s, stage, sub): U is urysohn_stage(*stage).space,
+    over a set of 1-4 positive values that passes the 4-values check, at
+    budgets 2-25 (mostly unsaturated), and when sub is not None a subspace
+    of it on points drawn with that seed. A is the stage's set, or in three
+    cases of ten the set without one positive value, which U may realize;
+    s is 1-4, and 5 over at most 3 positive values."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        over = {Fraction(0)} | {
+            Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))) for _ in range(rng.randint(1, 4))
+        }
+        if not four_values_check(over)[0]:
+            continue
+        A = set(over)
+        if rng.random() < 0.3:
+            A.remove(rng.choice(sorted(over - {0})))
+        stage = (frozenset(over), rng.randint(2, 25), rng.randint(1, 4), rng.randint(1, 3))
+        sub = rng.randrange(1 << 30) if rng.random() < 0.3 else None
+        cases.append((frozenset(A), rng.randint(1, 5 if len(A) <= 4 else 4), stage, sub))
+    return cases
+
+
+TREE_CASES = _tree_cases(240)
+TREE_CHUNK = 20
+
+
+def _tree_space(stage, sub) -> FiniteMetricSpace:
+    U = urysohn_stage(*stage).space
+    if sub is None:
+        return U
+    rng = random.Random(sub)
+    return subspace(U, sorted(rng.sample(range(U.n), rng.randint(1, U.n))))
+
+
+def _check_tree(A, s, U) -> tuple:
+    """Assert that the class tree equals the keyed reference on (A, s, U),
+    and return the verdict, the sizes at which some class's ext is not its
+    key's rows, and whether the missing class's is not."""
+    positive = [c for c in _codes([sorted(A)])[1][0] if c > 0]
+    prev: list = [[]]
+    relabeled = set()
+    # the tree stops after its first empty size, where the reference lists empty sizes to s
+    levels = itertools.zip_longest(
+        urysohn._class_levels(positive, s), ref.keyed_class_levels(positive, s), fillvalue=[]
+    )
+    for n, (level, want) in enumerate(levels, 1):
+        slots = list(itertools.combinations(range(n), 2))
+        keys = [(tuple(rows[i][j] for i, j in slots), parent) for rows, parent, _, _ in want]
+        assert [(key, parent) for key, parent, _ in level] == keys
+        for key, parent, ext in level:
+            # the parent's ext with one point added, listed last
+            assert [row[:-1] for row in ext[:-1]] == prev[parent] and ext[-1][-1] == 0
+            assert [row[-1] for row in ext] == ext[-1]
+            assert urysohn._canonical_key(ext) == key
+            if ext != urysohn._from_key(key, n):
+                relabeled.add(n)
+        prev = [ext for *_, ext in level]
+    got = verify_universality(U, A, s)
+    assert got == ref.keyed_verify_universality(U, A, s)
+    for scale, ext, image in urysohn._class_embeddings(U, A, s):
+        if image is not None:
+            assert len(set(image)) == len(image)
+            for i, j in itertools.combinations(range(len(ext)), 2):
+                assert U.dist[image[i]][image[j]] == Fraction(ext[i][j], scale)
+    ok = got[0]
+    return ok, relabeled, not ok and ext != urysohn._from_key(urysohn._canonical_key(ext), len(ext))
+
+
+@pytest.mark.parametrize("chunk", range(len(TREE_CASES) // TREE_CHUNK))
+def test_class_tree_matches_keyed_reference(chunk):
+    for A, s, stage, sub in TREE_CASES[chunk * TREE_CHUNK : (chunk + 1) * TREE_CHUNK]:
+        _check_tree(A, s, _tree_space(stage, sub))
+
+
+def _relabeled_missing(values, count: int) -> list:
+    """(A, U, missing) for the first count classes on 4 points over the
+    integers values and 0 whose first extension is not its key's rows (the
+    reference's relabeling is not the identity): U is every class of A
+    before it, and every smaller one, each on its own points and all at
+    distance max(values) + 1 from each other. That distance is outside A,
+    so no A-space spans two parts, and the class is the first missing one."""
+    A = frozenset(map(Fraction, (0, *values)))
+    spaces = enumerate_spaces_up_to_isometry(A, 4)
+    *_, level = ref.keyed_class_levels(list(values), 4)
+    smaller = len(spaces) - len(level)
+    gap = max(values) + 1
+    targets = [index for index, (*_, p) in enumerate(level) if p != tuple(range(4))]
+    out = []
+    for index in targets[:count]:
+        parts = [space._coded[1] for space in spaces[: smaller + index]]
+        rows = [[gap] * sum(map(len, parts)) for _ in range(sum(map(len, parts)))]
+        start = 0
+        for part in parts:
+            for i, row in enumerate(part):
+                rows[start + i][start : start + len(row)] = row
+            start += len(part)
+        out.append((A, _coded_space(1, rows), spaces[smaller + index]))
+    return out
+
+
+# the relabeled classes on 4 points are 1 of 48 over {0, 1, 2, 3}, 4 of 66
+# over {0, 2, 3, 4} and 6 of 158 over {0, 1, 2, 3, 4}, the first at index 34
+RELABELED_SETS = [((1, 2, 3), 1), ((2, 3, 4), 4), ((1, 2, 3, 4), 1)]
+
+
+@pytest.mark.parametrize("values, count", RELABELED_SETS)
+def test_a_relabeled_class_missing_first(values, count):
+    cases = _relabeled_missing(values, count)
+    assert len(cases) == count
+    for A, U, missing in cases:
+        want = (False, missing)
+        assert ref.keyed_verify_universality(U, A, 4) == want
+        assert _check_tree(A, 4, U) == (False, {4}, True)
+        assert verify_universality(U, A, 4) == want
+
+
+def test_tree_cases_cover_the_stated_shapes():
+    spaces = [_tree_space(stage, sub) for _, _, stage, sub in TREE_CASES]
+    outcomes = [_check_tree(A, s, U) for (A, s, _, _), U in zip(TREE_CASES, spaces)]
+    assert sum(not ok for ok, _, _ in outcomes) >= 80  # failing verdicts
+    # sizes at which some ext is not its key's rows, and cases whose next size grows from one
+    relabeled = [(s, sizes) for (_, s, *_), (_, sizes, _) in zip(TREE_CASES, outcomes) if sizes]
+    assert len(relabeled) >= 8
+    assert sum(min(sizes) < s for s, sizes in relabeled) >= 3
+    stages = {stage for _, _, stage, _ in TREE_CASES}
+    assert sum(not urysohn_stage(*stage).saturated for stage in stages) >= 100
+    outside = [set(distance_spectrum(U)) - A for (A, *_), U in zip(TREE_CASES, spaces)]
+    assert sum(map(bool, outside)) >= 40
+    assert sum(sub is not None for *_, sub in TREE_CASES) >= 40
+    assert {s for _, s, _, _ in TREE_CASES} == {1, 2, 3, 4, 5}
 
 
 # --- the completion on interval masks against the bisect slices it replaced -------

@@ -32,6 +32,11 @@ are those functions as they read a space's Fractions: the first through
 _extends, the second coding A with the decoded rows of X, the third
 validating the extended matrix from Fractions. They call this module's
 is_valid_katetov and metric_reference's distance_spectrum.
+
+The keyed_ functions are distset.urysohn's class listing and universality
+check when each size grew from the key-ordered rows: every class carried
+the relabeling from the extension it was first met as to its rows, and its
+image in U was read through it.
 """
 
 from __future__ import annotations
@@ -39,16 +44,17 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
+from functools import cache, reduce
 from itertools import chain, combinations, islice, permutations, product, repeat
 from math import lcm
-from operator import add, sub
+from operator import add, and_, itemgetter, sub
 from typing import Iterable, Optional, Sequence
 
 import distset.urysohn as urysohn
 from distset.errors import BudgetTooSmall, FourValuesFails, InvariantViolation, SpectrumNotInA
 from distset.metric import FiniteMetricSpace, _coded_space, _space, validate_metric
-from distset.oracles import find_embedding, find_isometry
-from distset.rationals import _codes, _decoded
+from distset.oracles import _label_masks, find_embedding, find_isometry
+from distset.rationals import _codes, _decoded, _joint
 from distset.urysohn import KatetovFunction, StageResult, _fits, _katetov_tuples
 from metric_reference import distance_spectrum
 
@@ -678,3 +684,99 @@ def extend_one_point(X: FiniteMetricSpace, g: KatetovFunction) -> FiniteMetricSp
     rows = [list(X.dist[i]) + [g.values[i]] for i in range(X.n)]
     rows.append(list(g.values) + [ZERO])
     return validate_metric(rows)
+
+
+# --- the class tree before it grew from extensions ----------------------------------
+# distset.urysohn's class listing and universality check when each size grew
+# from the key-ordered rows, verbatim but for the names (the canonical key is
+# distset.urysohn's, unchanged): every class carried the relabeling p from
+# the extension it was first met as to its rows, found by an n! scan over
+# (p, getter) pairs, and its image in U was read through p.
+
+
+@cache
+def keyed_relabelings(n: int) -> tuple:
+    """One (p, getter) per relabeling p of n >= 3 points; the getter reads a
+    flattened n x n matrix at (p[i], p[j]) for each upper-triangle slot
+    (i, j)."""
+    slots = list(combinations(range(n), 2))
+    return tuple(
+        (p, itemgetter(*(p[i] * n + p[j] for i, j in slots))) for p in permutations(range(n))
+    )
+
+
+def keyed_relabeling(dist, key: tuple) -> tuple:
+    """The first relabeling p whose slot tuple of dist is key."""
+    n = len(dist)
+    if n <= 2:
+        return tuple(range(n))
+    flat = list(chain.from_iterable(dist))
+    return next(p for p, get in keyed_relabelings(n) if get(flat) == key)
+
+
+def keyed_class_levels(positive: list, max_size: int):
+    """The class listing, one size at a time from 1 to max_size: a list of
+    (rows, parent, g, p) per class in key order.
+
+    rows is the representative, read off its key. It is first met as the
+    extension E of representative number parent of the size before by the
+    value tuple g, and E at (p[i], p[j]) is rows at (i, j).
+    """
+    fits = _fits(positive)
+    level: list = [[]]  # the empty space, whose one extension is the point
+    for n in range(1, max_size + 1):
+        first: dict = {}
+        for parent, dist in enumerate(level):
+            for g in _katetov_tuples([row[:i] for i, row in enumerate(dist)], positive, fits):
+                ext = [row + [g[i]] for i, row in enumerate(dist)] + [[*g, 0]]
+                key = urysohn._canonical_key(ext)
+                if key not in first:
+                    first[key] = parent, g, ext
+        classes = []
+        for key in sorted(first):
+            parent, g, ext = first[key]
+            rows = [[0] * n for _ in range(n)]
+            for (i, j), v in zip(combinations(range(n), 2), key):
+                rows[i][j] = rows[j][i] = v
+            classes.append((rows, parent, g, keyed_relabeling(ext, key)))
+        yield classes
+        level = [rows for rows, *_ in classes]
+
+
+def keyed_class_embeddings(U: FiniteMetricSpace, A: Iterable[Fraction], s: int):
+    """(scale, rows, image) per class of the listing up to s points, in its
+    order (see the module doc): the representative's rows on the joint scale
+    of A and U, and an embedding into U as an index tuple, or None, after
+    which it stops."""
+    cap = max(U.n, s)
+    scale, ((codes,), d) = _joint(_codes([sorted(set(A))]), U._coded)
+    at = list(map(_label_masks, d))
+    everyone = (1 << U.n) - 1
+    images: list = [()]
+    for level in keyed_class_levels([c for c in codes if c > 0], s):
+        parents, images = images, []
+        for rows, parent, g, p in level:
+            base = parents[parent]
+            hits = reduce(and_, map(dict.get, map(at.__getitem__, base), g, repeat(0)), everyone)
+            if hits:
+                ext = (*base, (hits & -hits).bit_length() - 1)
+                image = tuple(map(ext.__getitem__, p))
+            else:
+                image = find_embedding(_coded_space(scale, rows), U, max_points=cap)
+            yield scale, rows, image
+            if image is None:
+                return
+            images.append(image)
+
+
+def keyed_verify_universality(
+    U: FiniteMetricSpace, A: Iterable[Fraction], s: int
+) -> tuple[bool, Optional[FiniteMetricSpace]]:
+    """Check every A-space on at most s points embeds in U.
+
+    Returns (True, None) or (False, missing-space).
+    """
+    for scale, rows, image in keyed_class_embeddings(U, A, s):
+        if image is None:
+            return False, _coded_space(scale, rows)
+    return True, None

@@ -1,45 +1,64 @@
-"""Domain errors. Validation failures always name their first witness."""
+"""Domain errors. Validation failures always name their first witness.
 
-from __future__ import annotations
+A subclass states its message as a `str.format` template, whose names in order
+of first use (the root name for `{result.space.n}`) are its fields: passed
+positionally or by name, kept as attributes, and with the error's `__dict__`
+all it needs to rebuild, so `pickle` and `copy` give an equal error, notes
+included. A class without a template takes a message, as `Exception` does.
+"""
+
+import re
+from inspect import Parameter, Signature
 
 
 class DistSetError(Exception):
     """Base class for every error raised by this package."""
 
+    template: str | None = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "template" in cls.__dict__:
+            names = dict.fromkeys(re.findall(r"\{(\w+)", cls.template))
+            kind = Parameter.POSITIONAL_OR_KEYWORD
+            cls.__signature__ = Signature([Parameter(name, kind) for name in names])
+
+    def __init__(self, *args, **kwargs) -> None:
+        if self.template is None:
+            super().__init__(*args, **kwargs)
+            return
+        fields = self.__signature__.bind(*args, **kwargs).arguments
+        self.__dict__.update(fields)
+        super().__init__(self.template.format(**fields))
+
+    def __reduce__(self):
+        if self.template is None:
+            return type(self), self.args, self.__dict__
+        return type(self), tuple(map(self.__dict__.get, self.__signature__.parameters)), self.__dict__
+
 
 class AsymmetricMatrix(DistSetError):
-    def __init__(self, i: int, j: int):
-        self.i, self.j = i, j
-        super().__init__(f"dist[{i}][{j}] != dist[{j}][{i}]")
+    template = "dist[{i}][{j}] != dist[{j}][{i}]"
 
 
 class NonzeroDiagonal(DistSetError):
-    def __init__(self, i: int):
-        self.i = i
-        super().__init__(f"dist[{i}][{i}] != 0")
+    template = "dist[{i}][{i}] != 0"
 
 
 class NonpositiveOffDiagonal(DistSetError):
-    def __init__(self, i: int, j: int):
-        self.i, self.j = i, j
-        super().__init__(f"dist[{i}][{j}] <= 0 off the diagonal")
+    template = "dist[{i}][{j}] <= 0 off the diagonal"
 
 
 class TriangleViolation(DistSetError):
-    def __init__(self, i: int, j: int, k: int):
-        self.i, self.j, self.k = i, j, k
-        super().__init__(f"dist[{i}][{j}] > dist[{i}][{k}] + dist[{k}][{j}]")
+    template = "dist[{i}][{j}] > dist[{i}][{k}] + dist[{k}][{j}]"
 
 
 class EmptySelection(DistSetError):
-    def __init__(self) -> None:
-        super().__init__("point selection is empty")
+    template = "point selection is empty"
 
 
 class IndexOutOfRange(DistSetError):
-    def __init__(self, index: int, n: int):
-        self.index, self.n = index, n
-        super().__init__(f"point index {index} out of range for a space on {n} points")
+    template = "point index {index} out of range for a space on {n} points"
 
 
 class InvalidDescription(DistSetError):
@@ -52,50 +71,38 @@ class UnsupportedDescription(DistSetError):
 
 
 class NotRealizable(DistSetError):
-    def __init__(self) -> None:
-        super().__init__("the set is not the distance set of any Polish metric space")
+    template = "the set is not the distance set of any Polish metric space"
 
 
 class NonpositiveGlueDistance(DistSetError):
-    def __init__(self) -> None:
-        super().__init__("glue distance must be positive")
+    template = "glue distance must be positive"
 
 
 class InvalidTreeData(DistSetError):
-    def __init__(self, clause: str):
-        self.clause = clause
-        super().__init__(f"tree data rejected: {clause}")
+    template = "tree data rejected: {clause}"
 
 
 class BadDistancePair(DistSetError):
-    def __init__(self, reason: str):
-        super().__init__(f"need 0 < r < rp <= 2r: {reason}")
+    template = "need 0 < r < rp <= 2r: {reason}"
 
 
 class GuardrailExceeded(DistSetError):
-    def __init__(self, n: int, bound: int):
-        self.n, self.bound = n, bound
-        super().__init__(
-            f"search on {n} points exceeds the guardrail of {bound}; "
-            f"raise it explicitly or via DISTSET_MAX_POINTS"
-        )
+    template = (
+        "search on {n} points exceeds the guardrail of {bound}; "
+        "raise it explicitly or via DISTSET_MAX_POINTS"
+    )
 
 
 class ZeroNotInDomain(DistSetError):
-    def __init__(self) -> None:
-        super().__init__("tabulated function must include 0 in its domain")
+    template = "tabulated function must include 0 in its domain"
 
 
 class PoolExhausted(DistSetError):
-    def __init__(self, point):
-        self.point = point
-        super().__init__(f"no admissible pool value remains for input {point}")
+    template = "no admissible pool value remains for input {point}"
 
 
 class SpectrumNotInA(DistSetError):
-    def __init__(self, value):
-        self.value = value
-        super().__init__(f"space realizes distance {value} outside the allowed set")
+    template = "space realizes distance {value} outside the allowed set"
 
 
 class InvariantViolation(DistSetError):
@@ -105,19 +112,10 @@ class InvariantViolation(DistSetError):
 
 
 class FourValuesFails(DistSetError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"four-values condition fails at (a, b, c, d, x) = {witness}")
+    template = "four-values condition fails at (a, b, c, d, x) = {witness}"
 
 
 class BudgetTooSmall(DistSetError):
-    """Saturation was not reached within the size budget.
+    """Saturation was not reached within the size budget; `result` is the partial stage."""
 
-    Carries the partial stage so strict callers can still inspect it.
-    """
-
-    def __init__(self, result):
-        self.result = result
-        super().__init__(
-            f"stage stalled unsaturated at {result.space.n} points; raise the size budget"
-        )
+    template = "stage stalled unsaturated at {result.space.n} points; raise the size budget"

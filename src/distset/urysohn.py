@@ -341,14 +341,14 @@ def urysohn_stage(
     stage raises BudgetTooSmall instead; the exception carries the result.
     """
     values = set(A)
-    scale, (codes,) = _codes([sorted(values)])
-    ok, witness = four_values_check(codes)
-    if not ok:
-        raise FourValuesFails(_decoded([witness], scale)[0])
     if 0 not in values:
         raise ValueError("the distance set must contain 0")
     if size_budget < 1 or embed_bound < 1 or homog_bound < 1:
         raise ValueError("budgets and bounds must be >= 1")
+    scale, (codes,) = _codes([sorted(values)])
+    ok, witness = four_values_check(codes)
+    if not ok:
+        raise FourValuesFails(_decoded([witness], scale)[0])
 
     positive = [c for c in codes if c > 0]
     fits = _fits(positive)

@@ -196,6 +196,20 @@ def test_stage_rejects_bad_budgets():
         urysohn_stage(frs(0, 1), 10, 2, 0)
 
 
+def test_stage_checks_its_arguments_before_the_four_values_check(monkeypatch):
+    import distset.urysohn
+
+    def forbidden(codes):
+        raise AssertionError("urysohn_stage ran the 4-values check on bad arguments")
+
+    monkeypatch.setattr(distset.urysohn, "four_values_check", forbidden)
+    # {1, 2, 4} also fails the 4-values check: the missing 0 is reported first
+    with pytest.raises(ValueError, match="must contain 0"):
+        urysohn_stage(frs(1, 2, 4), 10, 2, 1)
+    with pytest.raises(ValueError, match=">= 1"):
+        urysohn_stage(frs(0, *(3**e for e in range(29))), 0, 2, 1)
+
+
 def test_enumerate_isometry_classes_small_counts():
     # over {1, 2}: one 1-point, two 2-point = 3; plus four 3-point = 7
     assert len(enumerate_spaces_up_to_isometry(frs(0, 1, 2), 2)) == 3

@@ -6,13 +6,20 @@ Exit codes: 0 on success, 1 when a domain error from a library module is
 rendered verbatim, 2 on usage, file, or JSON-shape problems, JSON nested too
 deeply to parse included. Every input file but a description is read through
 read_shape against its kind's declaration; integer flags take ASCII digits
-only. Reports are emitted as canonical JSON (sorted keys, rationals as "p/q"
-strings) so that identical requests produce byte-identical artifacts. The
-writer, _dumps, takes each payload as its command builds it, Fractions and
-tuples included, and writes it in one walk. Analysis reports also carry the
-tool version and a digest of the input bytes, the bytes that were parsed:
-each input file is read once. Construction and slope outputs are bare module
-formats with no report envelope, so they can be fed back in as inputs.
+only.
+
+Each command is a handler, _cmd_<name>(args, read), that returns its payload
+and writes nothing; read parses an input file and feeds its bytes to the one
+digest main makes per call, so each file is read once. main alone finishes
+every payload. It adds the report envelope, the tool version and the SHA-256
+input digest, to each dict payload but construct's: built spaces and graphs,
+like mpf slope's table, stay bare module formats that can be fed back in as
+inputs. It renders analyze --format text with the envelope as its last two
+lines, and anything else as canonical JSON (sorted keys, rationals as "p/q"
+strings) through _dumps, which takes a payload as its command builds it,
+Fractions and tuples included, in one walk; identical requests thus give
+byte-identical artifacts. The text goes to stdout or --output only once the
+command has succeeded, so a failure writes nothing.
 
 The parser of the subcommand that argv[0] names parses the rest of argv
 directly, which is what the top-level parser does after matching argv[0];
@@ -136,24 +143,11 @@ def _dumps(value, indent: str = "\n") -> str:
     return ends[0] + inner + f",{inner}".join(items) + indent + ends[1] if value else ends
 
 
-def _emit(payload, output: str | None) -> None:
-    _write(_dumps(payload) + "\n", output)
-
-
-def _write(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
-def _read_json(path: str, digest=None):
-    """The JSON value in the file; its bytes also go to digest, if given."""
+def _read_json(digest, path: str):
+    """The JSON value in the file, whose bytes also go to digest."""
     with open(path, "rb") as handle:
         data = handle.read()
-    if digest is not None:
-        digest.update(data)
+    digest.update(data)
     try:
         return json.loads(data)
     except RecursionError:
@@ -162,29 +156,11 @@ def _read_json(path: str, digest=None):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _stamp(payload: dict, digest) -> dict:
-    """Add the report envelope: the tool version and the SHA-256 digest of
-    the input files' bytes, fed to it in order as they were read."""
-    payload["tool_version"] = __version__
-    payload["input_digest"] = digest.hexdigest()
-    return payload
+def _cmd_analyze(args, read) -> dict:
+    return build_report(desc_from_json(read(args.input)))
 
 
-def _cmd_analyze(args) -> int:
-    digest = hashlib.sha256()
-    desc = desc_from_json(_read_json(args.input, digest))
-    report = _stamp(build_report(desc), digest)
-    if args.format == "text":
-        text = render_report_text(report)
-        text += f"tool_version: {report['tool_version']}\n"
-        text += f"input_digest: {report['input_digest']}\n"
-        _write(text, args.output)
-    else:
-        _emit(report, args.output)
-    return 0
-
-
-def _cmd_construct(args) -> int:
+def _cmd_construct(args, read):
     build, write, flags, *loaders = _CONSTRUCTIONS[args.name]
     files = args.inputs
     if len(files) != len(loaders):
@@ -200,42 +176,33 @@ def _cmd_construct(args) -> int:
         if value is None:
             raise ValueError(f"construct {args.name} requires --{flag}")
         rationals.append(parse_rational(value))
-    inputs = [load(_read_json(path)) for load, path in zip(loaders, files)]
-    _emit(write(build(*inputs, *rationals)), args.output)
-    return 0
+    inputs = [load(read(path)) for load, path in zip(loaders, files)]
+    return write(build(*inputs, *rationals))
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args, read) -> dict:
     search, load = _ORACLES[args.relation]
-    digest = hashlib.sha256()
-    A = load(_read_json(args.files[0], digest))
-    B = load(_read_json(args.files[1], digest))
+    A, B = (load(read(path)) for path in args.files)
     witness = search(A, B, max_points=args.max_points)
-    payload = {"relation": args.relation, "found": witness is not None, "witness": witness}
-    _emit(_stamp(payload, digest), args.output)
-    return 0
+    return {"relation": args.relation, "found": witness is not None, "witness": witness}
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args, read) -> dict:
     search_in, load_in = _ORACLES[args.relation_in]
     search_out, load_out = _ORACLES[args.relation_out]
-    digest = hashlib.sha256()
     pairs = [
         (tuple(map(load_in, entry["input"])), tuple(map(load_out, entry["transformed"])))
-        for entry in read_shape(_read_json(args.input, digest), _REDUCTION, "reduction")
+        for entry in read_shape(read(args.input), _REDUCTION, "reduction")
     ]
-
-    def wrap(search):
-        return lambda u, v: search(u, v, max_points=args.max_points)
-
-    payload = verify_reduction(pairs, wrap(search_in), wrap(search_out))
-    _emit(_stamp(payload, digest), args.output)
-    return 0
+    return verify_reduction(
+        pairs,
+        functools.partial(search_in, max_points=args.max_points),
+        functools.partial(search_out, max_points=args.max_points),
+    )
 
 
-def _cmd_urysohn(args) -> int:
-    digest = hashlib.sha256()
-    desc = desc_from_json(_read_json(args.input, digest))
+def _cmd_urysohn(args, read) -> dict:
+    desc = desc_from_json(read(args.input))
     values: set = set()
     for comp in desc.components:
         if not isinstance(comp, FiniteSet):
@@ -246,7 +213,7 @@ def _cmd_urysohn(args) -> int:
     result = urysohn_stage(values, args.budget, args.embed_bound, args.homog_bound)
     uni_ok, missing = verify_universality(result.space, values, args.embed_bound)
     hom_ok, stuck = verify_one_point_homogeneity(result.space, args.homog_bound)
-    payload = {
+    return {
         "space": space_to_json_dict(result.space),
         "log": [list(map(format_rational, row)) for row in result.log],
         "saturated": result.saturated,
@@ -259,24 +226,17 @@ def _cmd_urysohn(args) -> int:
             "witness": stuck and dict(zip(("domain", "codomain", "stuck_point"), stuck)),
         },
     }
-    _emit(_stamp(payload, digest), args.output)
-    return 0
 
 
-def _cmd_mpf(args) -> int:
-    digest = hashlib.sha256()
-    raw = _read_json(args.input, digest)
+def _cmd_mpf(args, read):
+    raw = read(args.input)
     if args.action == "slope":
-        _emit(func_to_json(slope_construction(**read_shape(raw, _SLOPE, "slope"))), args.output)
-        return 0
+        return func_to_json(slope_construction(**read_shape(raw, _SLOPE, "slope")))
     f = func_from_json(raw)
     if args.action == "check":
         ok, witness = is_metric_preserving_finite(f)
-        payload = {"metric_preserving": ok, "witness": witness}
-    else:
-        payload = {"sufficient": check_sufficient_condition(f)}
-    _emit(_stamp(payload, digest), args.output)
-    return 0
+        return {"metric_preserving": ok, "witness": witness}
+    return {"sufficient": check_sufficient_condition(f)}
 
 
 def _int_flag(text: str) -> int:
@@ -360,14 +320,30 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
+    digest = hashlib.sha256()
     try:
-        return args.run(args)
+        payload = args.run(args, functools.partial(_read_json, digest))
+        if type(payload) is dict and args.command != "construct":
+            payload["tool_version"] = __version__
+            payload["input_digest"] = digest.hexdigest()
+        if getattr(args, "format", None) == "text":
+            text = render_report_text(payload)
+            text += f"tool_version: {payload['tool_version']}\n"
+            text += f"input_digest: {payload['input_digest']}\n"
+        else:
+            text = _dumps(payload) + "\n"
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
     except DistSetError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -158,8 +158,6 @@ def tree_space(data: TreeData) -> FiniteMetricSpace:
     for s in nodes:
         if s and s[:-1] not in node_set:
             raise InvalidTreeData(f"node {s} lacks its parent; tree must be prefix-closed")
-    if nodes[0] != ():
-        raise InvalidTreeData("tree must contain the root")
     depth = max(len(s) for s in nodes)
     ok, why = check_tree_suitable(data.r_seq, data.rp_seq, data.x, depth)
     if not ok:

@@ -758,27 +758,14 @@ def _parsed(capsys, parse, argv):
     return result, captured.out, captured.err
 
 
-@pytest.fixture
-def parser_whose_commands_return_their_args():
-    # a freshly built parser, dropped again afterwards, so no other test
-    # sees the patched commands
-    cli._build_parser.cache_clear()
+def test_main_parses_generated_argv_as_the_top_level_parser_does(capsys):
+    # main starts with _parse, so this is how main reads its argv
     parser = cli._build_parser()
-    for subparser in parser.commands.values():
-        subparser.set_defaults(run=lambda args: args)
-    yield parser
-    cli._build_parser.cache_clear()
-
-
-def test_main_parses_generated_argv_as_the_top_level_parser_does(
-    capsys, parser_whose_commands_return_their_args
-):
-    parser = parser_whose_commands_return_their_args
     rng = random.Random(ARGV_SEED)
     outcomes = []
     for _ in range(1000):
         argv = _generated_argv(rng)
-        got = _parsed(capsys, main, argv)
+        got = _parsed(capsys, cli._parse, argv)
         assert got == _parsed(capsys, parser.parse_args, argv), argv
         outcomes.append((argv, *got))
     parsed = [(argv, r) for argv, r, _, _ in outcomes if isinstance(r, argparse.Namespace)]

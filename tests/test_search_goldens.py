@@ -44,11 +44,14 @@ def test_goldens_cover_every_search_command():
         ("construct", "space-to-graph"),
         ("oracle", "isometry"),
         ("oracle", "embedding"),
+        ("oracle", "graph-iso"),
+        ("oracle", "graph-embed"),
     } <= commands
     assert any(c["argv"][0] == "reduce" for c in CASES)
     outcomes = {(c["argv"][1], json.loads((SEARCH / "expected" / f"{c['name']}.out").read_text())["found"])
                 for c in CASES if c["argv"][0] == "oracle" and c["exit"] == 0}
-    assert outcomes == {(rel, found) for rel in ("isometry", "embedding") for found in (True, False)}
+    relations = ("isometry", "embedding", "graph-iso", "graph-embed")
+    assert outcomes == {(rel, found) for rel in relations for found in (True, False)}
 
 
 def test_search_commands_compare_no_fractions(capsys, monkeypatch):

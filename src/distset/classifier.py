@@ -4,10 +4,10 @@ Every verdict is paired with citation tags (strings like "Thm 5.6(2)") that
 name the result backing the rule. Tags are data carried in reports, chosen
 once here so goldens can pin them byte for byte.
 
-build_report fills a report from one ordered table of (key, verdict, tags):
-_entry turns any verdict into its JSON entry and _TAGS holds the tags by
-report key and verdict name. render_report_text shows every value through
-one formatter, _show.
+Each report block is declared once, in report order: _TOPOLOGY by (key, tag,
+rule) rows, and _VERDICTS by (key, rule) rows whose rules give (verdict, tags).
+_entry turns any verdict into its JSON entry, _TAGS holds tags by report key
+and verdict name, and render_report_text shows every value through _show.
 """
 
 from __future__ import annotations
@@ -75,16 +75,27 @@ def _require_realizable(facts: SetFacts) -> None:
         raise NotRealizable()
 
 
-_TOPOLOGY_TAGS = (
-    ("only_zero_dimensional", "Thm 3.4(1)"),
-    ("only_ultrametric", "Thm 3.4(2)"),
-    ("only_discrete", "Thm 3.4(3)"),
-    ("only_connected", "Thm 3.4(4)"),
-    ("exists_ultrametric", "Thm 3.2(2)"),
-    ("exists_discrete", "Thm 3.2(2)"),
-    ("exists_connected", "Thm 3.2(3)"),
-    ("exists_compact", "Thm 3.2(4)"),
-    ("exists_locally_compact", "Thm 3.2(5)"),
+# One row per topology entry, in report order: (key, citation tag, rule).
+_TOPOLOGY = (
+    ("only_zero_dimensional", "Thm 3.4(1)", lambda f: not f.contains_right_nbhd_of_zero),
+    ("only_ultrametric", "Thm 3.4(2)", lambda f: f.well_spaced),
+    ("only_discrete", "Thm 3.4(3)", lambda f: f.zero_isolated),
+    (
+        "only_connected",
+        "Thm 3.4(4)",
+        lambda f: f.well_founded and f.order_type_if_wf == 1 and f.zero_in_A,
+    ),
+    ("exists_ultrametric", "Thm 3.2(2)", lambda f: f.countable),
+    ("exists_discrete", "Thm 3.2(2)", lambda f: f.countable),
+    ("exists_connected", "Thm 3.2(3)", lambda f: f.interval_from_zero),
+    (
+        "exists_compact",
+        "Thm 3.2(4)",
+        lambda f: f.closed
+        and f.has_max
+        and ((f.well_founded and isinstance(f.order_type_if_wf, int)) or not f.zero_isolated),
+    ),
+    ("exists_locally_compact", "Thm 3.2(5)", lambda f: f.countable or not f.zero_isolated),
 )
 
 
@@ -92,23 +103,7 @@ def classify_topology(facts: SetFacts) -> dict:
     """Which topological properties all members share, and which are
     realized by at least one member."""
     _require_realizable(facts)
-    is_zero_singleton = (
-        facts.well_founded and facts.order_type_if_wf == 1 and facts.zero_in_A
-    )
-    is_finite = facts.well_founded and isinstance(facts.order_type_if_wf, int)
-    return {
-        "only_zero_dimensional": not facts.contains_right_nbhd_of_zero,
-        "only_ultrametric": facts.well_spaced,
-        "only_discrete": facts.zero_isolated,
-        "only_connected": is_zero_singleton,
-        "exists_ultrametric": facts.countable,
-        "exists_discrete": facts.countable,
-        "exists_connected": facts.interval_from_zero,
-        "exists_compact": facts.closed
-        and facts.has_max
-        and (is_finite or not facts.zero_isolated),
-        "exists_locally_compact": facts.countable or not facts.zero_isolated,
-    }
+    return {key: rule(facts) for key, _, rule in _TOPOLOGY}
 
 
 def classify_VA(facts: SetFacts) -> ComplexityVerdict:
@@ -182,9 +177,9 @@ def _isom_equals(facts: SetFacts, has_registered_witness: bool):
         return "true", ["Thm 5.7(ii)"]
     if has_registered_witness:
         return "true", ["Thm 5.7(iii)"]
-    # A is dense near 0 here, and build_report passes dense_near_zero as the
-    # witness flag: no description reaches the Sec 6 Question, only fact
-    # vectors do.
+    # A is dense near 0 here, and build_report's isom_equals_isom_star row
+    # passes dense_near_zero as the witness flag: no description reaches the
+    # Sec 6 Question, only fact vectors do.
     return "unknown", ["Sec 6 Question"]
 
 
@@ -201,9 +196,8 @@ def classify_isometry(
     _require_realizable(facts)
     kind = _isometry_kind(facts)
     position = facts.order_type_if_wf if kind == "BorelChain" else None
-    graph_iso_reduces = not facts.well_founded or not facts.well_spaced
     equals, _ = _isom_equals(facts, has_registered_witness)
-    return IsomVerdict(kind, position), graph_iso_reduces, equals
+    return IsomVerdict(kind, position), kind != "BorelChain", equals
 
 
 def classify_embeddability(facts: SetFacts) -> EmbedVerdict:
@@ -269,19 +263,20 @@ def _entry(verdict):
     return verdict
 
 
-# The report's keys after "facts", in the order the realizable branch fills
-# them: the dict's key order is part of what build_report returns, and it
-# differs from the text report's.
-_VERDICT_KEYS = (
-    "topology",
-    "v_A",
-    "v_A_star",
-    "isometry_star",
-    "graph_iso_reduces",
-    "isom_equals_isom_star",
-    "embeddability_star",
-    "embeddability_star_bireducible_with_embeddability",
-    "urysohn_exists",
+# The report's verdicts after "topology", in its dict order, which differs
+# from the text report's. Each rule maps facts to (verdict, citation tags);
+# tags of None come from _TAGS by the verdict's name.
+_VERDICTS = (
+    ("v_A", lambda f: (classify_VA(f), None)),
+    ("v_A_star", lambda f: (classify_VAstar(f), None)),
+    ("isometry_star", lambda f: (classify_isometry(f)[0], None)),
+    ("graph_iso_reduces", lambda f: (classify_isometry(f)[1], ["Thm 5.5"])),
+    # The registered witness is the shrinking map r |-> b*r/(1+r), which
+    # exists exactly when the set is dense near 0.
+    ("isom_equals_isom_star", lambda f: _isom_equals(f, f.dense_near_zero)),
+    ("embeddability_star", lambda f: (classify_embeddability(f), None)),
+    ("embeddability_star_bireducible_with_embeddability", lambda f: (True, ["Cor 5.13"])),
+    ("urysohn_exists", lambda f: (urysohn_exists(f), ["Thm 4.9"])),
 )
 
 # The text report's lines after the topology block, in order.
@@ -300,8 +295,8 @@ _TEXT_KEYS = (
 def build_report(desc: DistanceSetDesc) -> dict:
     """Full classification report for a described distance set.
 
-    A realizable set's verdicts come from one table of (key, value, citation
-    tags) in report order. A non-realizable set lacks 0, since a described
+    A realizable set's entries come from the _TOPOLOGY and _VERDICTS
+    tables, in report order. A non-realizable set lacks 0, since a described
     set that holds 0 is countable or holds an interval from 0. It keeps its
     facts; every verdict is null and the exact-set complexity reads
     not_applicable.
@@ -311,29 +306,15 @@ def build_report(desc: DistanceSetDesc) -> dict:
     report: dict = {"realizable": realizable, "facts": facts_to_json_dict(facts)}
     citations: dict = {"realizable": ["Thm 1.2"]}
     if not realizable:
-        report.update(dict.fromkeys(_VERDICT_KEYS), v_A_star="not_applicable")
+        report.update(dict.fromkeys(["topology", *dict(_VERDICTS)]), v_A_star="not_applicable")
         report["citations"] = citations
         return report
 
     report["topology"] = classify_topology(facts)
-    for key, tag in _TOPOLOGY_TAGS:
+    for key, tag, _ in _TOPOLOGY:
         citations[f"topology.{key}"] = [tag]
-    # The registered witness is the shrinking map r |-> b*r/(1+r), which
-    # exists exactly when the set is dense near 0.
-    witness = facts.dense_near_zero
-    isom, graph_iso_reduces, _ = classify_isometry(facts, has_registered_witness=witness)
-    equals, equal_tags = _isom_equals(facts, witness)
-    # A row without tags takes them from _TAGS by its verdict's name.
-    for key, value, tags in (
-        ("v_A", classify_VA(facts), None),
-        ("v_A_star", classify_VAstar(facts), None),
-        ("isometry_star", isom, None),
-        ("graph_iso_reduces", graph_iso_reduces, ["Thm 5.5"]),
-        ("isom_equals_isom_star", equals, equal_tags),
-        ("embeddability_star", classify_embeddability(facts), None),
-        ("embeddability_star_bireducible_with_embeddability", True, ["Cor 5.13"]),
-        ("urysohn_exists", urysohn_exists(facts), ["Thm 4.9"]),
-    ):
+    for key, rule in _VERDICTS:
+        value, tags = rule(facts)
         report[key] = _entry(value)
         citations[key] = tags or _tags(key, value)
     report["citations"] = citations
@@ -373,7 +354,7 @@ def render_report_text(report: dict) -> str:
         lines.append("topology: null")
     else:
         lines.append("topology:")
-        for key, _ in _TOPOLOGY_TAGS:
+        for key, _, _ in _TOPOLOGY:
             lines.append("  " + tagged(key, report["topology"][key], f"topology.{key}"))
     for key in _TEXT_KEYS:
         lines.append(tagged(key, report[key], key))

@@ -180,8 +180,6 @@ def _power_index(x: Fraction, r0: Fraction, q: Fraction) -> int | None:
 
 def _exact_log(value: int, base: int) -> int | None:
     """n with base^n == value, base >= 2, else None."""
-    if value < 1:
-        return None
     n = 0
     cur = 1
     while cur < value:
@@ -340,8 +338,9 @@ def _well_spaced(desc: DistanceSetDesc) -> bool:
             return False
     for v in finite_vals:
         for r0, q in geoms:
+            # every other term in [v/2, 2v] is within a factor 2 of v
             for e in _geom_elements_in(r0, q, v / 2, 2 * v):
-                if e != v and (e < v <= 2 * e or v < e <= 2 * v):
+                if e != v:
                     return False
     return True
 
@@ -354,9 +353,9 @@ def _closed(desc: DistanceSetDesc, zero_in: bool, big: Fraction | None) -> bool:
 
     Finite unions add no limit points beyond the per-component closures, so
     it is enough that every component's missing boundary is supplied by the
-    union: 0 for a downward geometric sequence, b for [0, b), and the full
-    interval [a, b] for a dense rational block. big is the largest interval
-    endpoint, None without an interval.
+    union: 0 for a downward geometric sequence, b for [0, b), and [a, b) for
+    a dense rational block [a, b], which holds its own b. big is the largest
+    interval endpoint, None without an interval.
     """
     for comp in desc.components:
         if isinstance(comp, GeomDown) and not zero_in:
@@ -365,8 +364,6 @@ def _closed(desc: DistanceSetDesc, zero_in: bool, big: Fraction | None) -> bool:
             return False
         if isinstance(comp, DenseRationals):
             if big is None or big < comp.b:
-                return False
-            if big == comp.b and not contains(desc, comp.b):
                 return False
     return True
 

@@ -487,7 +487,8 @@ def verify_one_point_homogeneity(
     points' columns included (column e is the pattern of e, d being
     symmetric). Each own column holds a 0, which no outside pattern does, and
     depends only on the group's distance pattern, so two members' column sets
-    differ exactly where their outside patterns do.
+    differ exactly where their outside patterns do, and the stuck point is the
+    first whose column is the least lost pattern.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -507,12 +508,6 @@ def verify_one_point_homogeneity(
                     continue
                 for dom, cod, lost in ((first, other, base - pats), (other, first, pats - base)):
                     if lost:
-                        return False, (dom, cod, _point_realizing(d, U.n, dom, min(lost)))
+                        stuck = list(zip(*map(d.__getitem__, dom))).index(min(lost))
+                        return False, (dom, cod, stuck)
     return True, None
-
-
-def _point_realizing(d, n: int, tup: tuple[int, ...], pattern) -> int:
-    for e in range(n):
-        if e not in tup and tuple(d[e][t] for t in tup) == pattern:
-            return e
-    raise AssertionError("pattern was drawn from the extension set")

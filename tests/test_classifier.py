@@ -15,6 +15,7 @@ from distset.classifier import (
     COMPLEXITY_CLASSES,
     ISOMETRY_GUARDS,
     ComplexityVerdict,
+    _isom_equals,
     build_report,
     classify_VA,
     classify_VAstar,
@@ -201,6 +202,18 @@ def test_isometry_omega_chain_position():
     v, reduces, equals = classify_isometry(facts)
     assert v.kind == "BorelChain" and v.position == "omega"
     assert not reduces and equals == "true"
+
+
+def test_isom_equals_on_a_fact_vector_not_dense_near_zero():
+    # uncountable but not dense near 0: no description reaches Thm 5.7(i)
+    flags = {field.name: False for field in dataclasses.fields(SetFacts)}
+    facts = SetFacts(
+        **{**flags, "zero_in_A": True, "order_type_if_wf": None, "four_values": "undecided"}
+    )
+    assert facts_consistent(facts) and facts_realizable(facts)
+    assert _isom_equals(facts, False) == ("true", ["Thm 5.7(i)"])
+    _, _, equals = classify_isometry(facts)
+    assert equals == "true"
 
 
 def test_isom_equals_fallback_order():

@@ -169,6 +169,13 @@ def test_construct_tree_space(capsys, tmp_path):
     assert payload["dist"][1][2] == "1/4"
 
 
+def test_construct_tree_space_rejects_a_nonpositive_r_seq_term(capsys, tmp_path):
+    bad = {"nodes": [[], [0]], "r_seq": ["1", "-1"], "rp_seq": ["2", "3"], "x": "5"}
+    code, out, err = run(capsys, "construct", "tree-space", write_json(tmp_path / "t.json", bad))
+    assert code == 1 and out == ""
+    assert err == "tree data rejected: r_seq values must be positive\n"
+
+
 def test_construct_graph_space_and_back(capsys, tmp_path):
     g = write_json(tmp_path / "g.json", {"n": 3, "edges": [[0, 1], [1, 2]]})
     code, out, err = run(capsys, "construct", "graph-space", g, "--r", "1", "--rp", "2")

@@ -235,6 +235,7 @@ def test_check_tree_suitable_accepts_the_example():
         ((F(2), F(1, 16)), (F(9, 8), F(33, 32)), F(1), 1, "need r_seq[0] < min(x, rp_seq[0])"),
         ((F(1, 4), F(1, 16)), (F(9, 8), F(1)), F(1), 1, "rp_seq[1] must differ from x"),
         ((F(1, 4), F(1, 16)), (F(9, 8), F(17, 16)), F(1), 1, "need |rp_seq[1] - x| < r_seq[1]"),
+        ((F(1), F(-1)), (F(2), F(3)), F(5), 1, "r_seq values must be positive"),
     ],
 )
 def test_check_tree_suitable_names_the_violated_clause(r_seq, rp_seq, x, depth, fragment):

@@ -436,6 +436,9 @@ def test_facts_consistent_rejects_contradictions():
         **{**base, "well_founded": False, "order_type_if_wf": None, "dense_near_zero": True}
     )
     assert not facts_consistent(dense_but_well_spaced)
+    for order_type in (0, -1, "omega+1"):
+        assert not facts_consistent(SetFacts(**{**base, "order_type_if_wf": order_type}))
+    assert not facts_consistent(SetFacts(**{**base, "four_values": "maybe"}))
 
 
 # --- shrinking witness ---

@@ -45,6 +45,11 @@ def test_validate_rejects_empty_matrix():
 def test_validate_rejects_non_square():
     with pytest.raises(ValueError, match="not square"):
         validate_metric([[0, 1], [1, 0], [1, 1]])
+    # a row with no length comes after the entries of the rows above it
+    with pytest.raises(ValueError, match="malformed rational 'x'"):
+        validate_metric([[0, "x"], 5])
+    with pytest.raises(TypeError):
+        validate_metric([5])
 
 
 def test_validate_reports_nonzero_diagonal_first():

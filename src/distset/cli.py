@@ -8,9 +8,10 @@ deeply to parse included. Every input file but a description is read through
 read_shape against its kind's declaration; integer flags take ASCII digits
 only.
 
-Each command is a handler, _cmd_<name>(args, read), that returns its payload
-and writes nothing; read parses an input file and feeds its bytes to the one
-digest main makes per call, so each file is read once. main alone finishes
+Each command is one row of _COMMANDS: its help line, its arguments and its
+handler, _cmd_<name>(args, read), which returns its payload and writes
+nothing; read parses an input file and feeds its bytes to the one digest
+main makes per call, so each file is read once. main alone finishes
 every payload. It adds the report envelope, the tool version and the SHA-256
 input digest, to each dict payload but construct's: built spaces and graphs,
 like mpf slope's table, stay bare module formats that can be fed back in as
@@ -246,6 +247,40 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
+_INPUT = ("--input", {"required": True})
+_OUTPUT = ("--output", {})
+_MAX_POINTS = ("--max-points", {"type": _int_flag})
+_RELATION = {"choices": tuple(_ORACLES)}
+
+# one row per command, in help order: (name, help line, handler, arguments in
+# usage order, each as (name or flag, add_argument keywords))
+_COMMANDS = (
+    ("analyze", "classification report for a description file", _cmd_analyze, (
+        _INPUT, _OUTPUT, ("--format", {"choices": ("json", "text"), "default": "json"}),
+    )),
+    ("construct", "build a space or graph from inputs", _cmd_construct, (
+        ("name", {"choices": tuple(_CONSTRUCTIONS)}), ("inputs", {"nargs": "*"}),
+        *((f"--{flag}", {}) for flag in _CONSTRUCTION_FLAGS), _OUTPUT,
+    )),
+    ("oracle", "search for a witness of a relation", _cmd_oracle, (
+        ("relation", _RELATION), ("files", {"nargs": 2}), _MAX_POINTS, _OUTPUT,
+    )),
+    ("reduce", "certify a reduction over explicit pairs", _cmd_reduce, (
+        ("relation_in", _RELATION), ("relation_out", _RELATION), _INPUT, _MAX_POINTS, _OUTPUT,
+    )),
+    ("urysohn", "grow and verify a saturation stage", _cmd_urysohn, (
+        _INPUT,
+        ("--budget", {"type": _int_flag, "default": 40}),
+        ("--embed-bound", {"type": _int_flag, "default": 3}),
+        ("--homog-bound", {"type": _int_flag, "default": 2}),
+        _OUTPUT,
+    )),
+    ("mpf", "metric preserving function tools", _cmd_mpf, (
+        ("action", {"choices": ("check", "sufficient", "slope")}), _INPUT, _OUTPUT,
+    )),
+)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process: parsing leaves no
@@ -255,50 +290,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="analyze rational distance sets and the finite spaces over them",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="classification report for a description file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(run=_cmd_analyze)
-
-    p = sub.add_parser("construct", help="build a space or graph from inputs")
-    p.add_argument("name", choices=tuple(_CONSTRUCTIONS))
-    p.add_argument("inputs", nargs="*")
-    for flag in _CONSTRUCTION_FLAGS:
-        p.add_argument(f"--{flag}")
-    p.add_argument("--output")
-    p.set_defaults(run=_cmd_construct)
-
-    p = sub.add_parser("oracle", help="search for a witness of a relation")
-    p.add_argument("relation", choices=tuple(_ORACLES))
-    p.add_argument("files", nargs=2)
-    p.add_argument("--max-points", type=_int_flag)
-    p.add_argument("--output")
-    p.set_defaults(run=_cmd_oracle)
-
-    p = sub.add_parser("reduce", help="certify a reduction over explicit pairs")
-    p.add_argument("relation_in", choices=tuple(_ORACLES))
-    p.add_argument("relation_out", choices=tuple(_ORACLES))
-    p.add_argument("--input", required=True)
-    p.add_argument("--max-points", type=_int_flag)
-    p.add_argument("--output")
-    p.set_defaults(run=_cmd_reduce)
-
-    p = sub.add_parser("urysohn", help="grow and verify a saturation stage")
-    p.add_argument("--input", required=True)
-    p.add_argument("--budget", type=_int_flag, default=40)
-    p.add_argument("--embed-bound", type=_int_flag, default=3)
-    p.add_argument("--homog-bound", type=_int_flag, default=2)
-    p.add_argument("--output")
-    p.set_defaults(run=_cmd_urysohn)
-
-    p = sub.add_parser("mpf", help="metric preserving function tools")
-    p.add_argument("action", choices=("check", "sufficient", "slope"))
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.set_defaults(run=_cmd_mpf)
-
+    for name, help_line, run, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(run=run)
     parser.commands = sub.choices  # name: subparser, for _parse
     return parser
 

@@ -423,7 +423,7 @@ def facts_consistent(facts: SetFacts) -> bool:
     """
     f = facts
     if f.order_type_if_wf is not None and not (
-        f.order_type_if_wf == "omega" or (isinstance(f.order_type_if_wf, int) and f.order_type_if_wf >= 1)
+        f.order_type_if_wf == "omega" or (type(f.order_type_if_wf) is int and f.order_type_if_wf >= 1)
     ):
         return False
     if f.four_values not in ("true", "false", "undecided"):

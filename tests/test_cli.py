@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import classifier_reference as cref
+import cli_reference
 from distset import __version__
 from distset import cli
 from distset.cli import main
@@ -545,6 +546,36 @@ def test_parser_built_once_serves_every_call_alike(capsys, tmp_path):
     assert cached == fresh
     assert cached[0] == cached[3]
     assert cached[2][2] == "no admissible pool value remains for input 3\n"
+
+
+ACTION_FIELDS = ("dest", "option_strings", "nargs", "default", "type", "choices", "required",
+                 "help", "metavar")
+
+
+def _parser_parts(parser):
+    """The command names in order, the top-level usage and help, then per
+    subparser its usage, its help, each action's fields in order and its
+    handler."""
+    parts = [list(parser.commands), parser.format_usage(), parser.format_help()]
+    for sub in parser.commands.values():
+        parts.append((
+            sub.format_usage(),
+            sub.format_help(),
+            [tuple(getattr(action, field) for field in ACTION_FIELDS) for action in sub._actions],
+            sub.get_default("run"),
+        ))
+    return parts
+
+
+def test_command_table_builds_the_reference_parser(monkeypatch):
+    # tests/cli_reference.py builds the parser one add_parser block per
+    # command, as before _COMMANDS; the text is compared at a fixed width
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _parser_parts(cli._build_parser.__wrapped__())
+    want = _parser_parts(cli_reference._build_parser.__wrapped__())
+    assert got[0] == ["analyze", "construct", "oracle", "reduce", "urysohn", "mpf"]
+    for part, reference in zip(got, want, strict=True):
+        assert part == reference
 
 
 DEEP_ARGV = [

@@ -436,8 +436,11 @@ def test_facts_consistent_rejects_contradictions():
         **{**base, "well_founded": False, "order_type_if_wf": None, "dense_near_zero": True}
     )
     assert not facts_consistent(dense_but_well_spaced)
-    for order_type in (0, -1, "omega+1"):
-        assert not facts_consistent(SetFacts(**{**base, "order_type_if_wf": order_type}))
+    # True equals {0}'s order type 1, but a bool is no order type
+    zero = facts_to_json_dict(compute_facts(D(fs(0))))
+    for facts in (base, zero):
+        for order_type in (0, -1, "omega+1", True):
+            assert not facts_consistent(SetFacts(**{**facts, "order_type_if_wf": order_type}))
     assert not facts_consistent(SetFacts(**{**base, "four_values": "maybe"}))
 
 

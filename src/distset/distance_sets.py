@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
+from math import floor, log
 from typing import Iterator, Union
 
 from .errors import InvalidDescription, UnsupportedDescription
@@ -174,18 +175,19 @@ def _power_index(x: Fraction, r0: Fraction, q: Fraction) -> int | None:
     a, b, c, d = q.numerator, q.denominator, ratio.numerator, ratio.denominator
     if a < b:
         a, b, c, d = b, a, d, c
-    n = _exact_log(c, a)
-    return n if n is not None and b**n == d else None
+    n = _floor_log(c, a)
+    return n if a**n == c and b**n == d else None
 
 
-def _exact_log(value: int, base: int) -> int | None:
-    """n with base^n == value, base >= 2, else None."""
-    n = 0
-    cur = 1
-    while cur < value:
-        cur *= base
+def _floor_log(x: Fraction | int, base: Fraction | int) -> int:
+    """The n with base^n <= x < base^(n+1), for x > 0 and base > 1: a float
+    log gives a first guess, and exact powers correct it."""
+    n = floor((log(x.numerator) - log(x.denominator)) / (log(base.numerator) - log(base.denominator)))
+    while base**n > x:
+        n -= 1
+    while base ** (n + 1) <= x:
         n += 1
-    return n if cur == value else None
+    return n
 
 
 def contains(desc: DistanceSetDesc, x: Fraction) -> bool:
@@ -286,19 +288,16 @@ def _common_base(a: Fraction, b: Fraction) -> Fraction | None:
 
 
 def _lattice_hits_doubling_window(c: Fraction, step: Fraction) -> bool:
-    """Whether { c * step^t : t integer } meets (1, 2]. Needs step > 1."""
-    while c > step:
-        c /= step
-    while c <= 1:
-        c *= step
-    return c <= TWO
+    """Whether { c * step^t : t integer } meets (1, 2]. Needs step > 1. Every
+    step up to 2 does; above 2 only the term in [1, step) can, if it is not 1."""
+    return step <= TWO or 1 < c / step ** _floor_log(c, step) <= TWO
 
 
 def _geom_elements_in(r0: Fraction, q: Fraction, lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
-    """Elements of { r0 * q^n : n >= 0 } inside [lo, hi]; needs lo > 0."""
-    v = r0
-    while (v > hi) if q < 1 else (v < lo):
-        v *= q
+    """Elements of { r0 * q^n : n >= 0 } inside [lo, hi]; needs lo > 0. The
+    first n puts r0 * q^n at or above lo (q > 1) or at or below hi (q < 1)."""
+    n = -(_floor_log(r0 / lo, q) if q > 1 else _floor_log(hi / r0, 1 / q))
+    v = r0 * q ** max(0, n)
     while lo <= v <= hi:
         yield v
         v *= q
@@ -311,8 +310,8 @@ def _well_spaced(desc: DistanceSetDesc) -> bool:
         (c.r0, c.q) for c in desc.components if isinstance(c, (GeomDown, GeomUp))
     ]
     # Two consecutive terms of one sequence violate when its ratio lies in
-    # [1/2, 2]. Checked first, so that every walk below steps by a factor
-    # above 2 and takes about log2 of its span in steps.
+    # [1/2, 2]. Checked first, so that each window log below has a base
+    # above 2 and an exponent of at most log2 of its span.
     if any(max(q, 1 / q) <= TWO for _, q in geoms):
         return False
     points = {v for c in desc.components if isinstance(c, FiniteSet) for v in c.values if v > 0}

@@ -4,9 +4,16 @@ distset.distance_sets now drives from one kind table.
 Kept as it was, one isinstance chain per kind and one predicate per fact
 name. tests/test_distance_sets_differential.py runs both on the same
 descriptions and JSON shapes and requires equal facts, equal JSON (key order
-included) and the same exception class and message. The helpers that did
-not change are imported from distset.distance_sets, and compute_facts
-imports four_values_check by its absolute name; the rest is unchanged.
+included) and the same exception class and message. The dataclasses, the
+kind tables, the constants and _component_sup are imported from
+distset.distance_sets, and compute_facts imports four_values_check by its
+absolute name; the rest is unchanged.
+
+The exponent searches are copied as they were before distance_sets read
+every exponent off one floor log: _exact_log, which multiplies up to its
+value, _lattice_hits_doubling_window, which divides and multiplies c into
+(1, step], and _walked_geom_elements_in, the generator that steps from r0
+to its window one term at a time.
 
 Membership and well-spacing are kept as they were before distance_sets
 read a power off one exact log and found a common base by Euclid:
@@ -23,11 +30,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import Iterator
 
 from distset.distance_sets import (
     _DENSE_KINDS,
     _INTERVAL_KINDS,
     _KINDS,
+    TWO,
     ZERO,
     ClosedInterval,
     Component,
@@ -39,11 +48,38 @@ from distset.distance_sets import (
     HalfOpenInterval,
     SetFacts,
     _component_sup,
-    _exact_log,
-    _lattice_hits_doubling_window,
 )
 from distset.errors import InvalidDescription, UnsupportedDescription
 from distset.rationals import format_rational, parse_rational
+
+
+def _exact_log(value: int, base: int) -> int | None:
+    """n with base^n == value, base >= 2, else None."""
+    n = 0
+    cur = 1
+    while cur < value:
+        cur *= base
+        n += 1
+    return n if cur == value else None
+
+
+def _lattice_hits_doubling_window(c: Fraction, step: Fraction) -> bool:
+    """Whether { c * step^t : t integer } meets (1, 2]. Needs step > 1."""
+    while c > step:
+        c /= step
+    while c <= 1:
+        c *= step
+    return c <= TWO
+
+
+def _walked_geom_elements_in(r0: Fraction, q: Fraction, lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
+    """Elements of { r0 * q^n : n >= 0 } inside [lo, hi]; needs lo > 0."""
+    v = r0
+    while (v > hi) if q < 1 else (v < lo):
+        v *= q
+    while lo <= v <= hi:
+        yield v
+        v *= q
 
 
 def _power_index(x: Fraction, r0: Fraction, q: Fraction) -> int | None:

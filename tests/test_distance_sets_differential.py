@@ -18,6 +18,13 @@ that are and are not powers of one base, in one direction and in both.
 contains must agree at sequence terms, at values just off a sequence, at 0
 and at negative values, and the large-exponent pairs are timed, since
 finding a common base walks one step per division.
+
+Every exponent is read off one floor log. The window generator and the
+lattice test are run against their walking copies in the reference on
+seeded windows and lattices, membership is checked on the exact powers of 3
+whose float log falls below the exponent, and long spans are run through
+the CLI under a time bound and, where the reference is fast enough, against
+its facts.
 """
 
 import copy
@@ -26,6 +33,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import floor, log
 
 import pytest
 
@@ -33,6 +41,7 @@ import classifier_reference as cref
 from classifier_reference import _jsonable
 import distance_sets_reference as ref
 from distset.classifier import build_report, render_report_text
+from distset.cli import main
 from distset.distance_sets import (
     ClosedInterval,
     DenseRationals,
@@ -41,6 +50,8 @@ from distset.distance_sets import (
     GeomDown,
     GeomUp,
     HalfOpenInterval,
+    _geom_elements_in,
+    _lattice_hits_doubling_window,
     _well_spaced,
     compute_facts,
     contains,
@@ -279,6 +290,151 @@ def test_well_spaced_answers_at_once_for_a_ratio_near_one(q):
     assert time.perf_counter() - start < 0.5
     if abs(q - 1) >= F(1, 1000):  # the reference takes up to 0.2 s here
         assert ref._well_spaced(desc) is False
+
+
+# --- exponents from one floor log --------------------------------------------
+
+WINDOW_RATIOS = UP_RATIOS + (F(5, 2), F(7, 3), F(10), F(1001, 1000))
+# Factors that put a window edge on a term, just off it (closer than a float
+# log can tell), or between terms.
+EPS = F(1, 10**30)
+JITTER = (F(1), F(1), 1 - EPS, 1 + EPS, F(99, 100), F(101, 100), F(1, 2), F(2), F(2, 3), F(3, 2))
+
+
+def _window(rng: random.Random) -> tuple:
+    """(r0, q, lo, hi) with edges near terms i <= j of the sequence, indexed
+    from -60 so that windows lie on both sides of r0, over spans of up to
+    about 400 terms, and a quarter with lo == hi on one exact term."""
+    q = rng.choice(WINDOW_RATIOS)
+    q = q if rng.random() < 0.5 else 1 / q
+    r0 = rng.choice(GEOM_VALUES) * rng.choice((1, 7, F(1, 64)))
+    i = rng.randint(-60, 300)
+    if rng.random() < 0.25:
+        lo = hi = r0 * q**i
+    else:
+        j = i + rng.choice((0, 1, 2, rng.randint(0, 400)))
+        lo, hi = sorted((r0 * q**i * rng.choice(JITTER), r0 * q**j * rng.choice(JITTER)))
+    return r0, q, lo, hi
+
+
+WINDOWS = [_window(random.Random(seed)) for seed in range(1000)]
+
+
+def test_windows_reach_every_case():
+    seen, longest = set(), 0
+    for r0, q, lo, hi in WINDOWS:
+        got = list(ref._walked_geom_elements_in(r0, q, lo, hi))
+        where = "exact" if lo == hi else "below" if hi < r0 else "above" if lo > r0 else "around"
+        seen.add((q > 1, where, bool(got)))
+        longest = max(longest, len(got))
+    # r0 is the first term: no term lies beyond it, and a window around it
+    # holds it
+    impossible = {(True, "below", True), (False, "above", True)}
+    impossible |= {(True, "around", False), (False, "around", False)}
+    assert seen == {
+        (up, where, nonempty)
+        for up in (True, False)
+        for where in ("exact", "below", "above", "around")
+        for nonempty in (True, False)
+    } - impossible
+    assert longest >= 300
+
+
+@pytest.mark.parametrize("chunk", range(2))
+def test_window_terms_match_the_walk(chunk):
+    for r0, q, lo, hi in WINDOWS[chunk * 500 : (chunk + 1) * 500]:
+        got = list(_geom_elements_in(r0, q, lo, hi))
+        assert got == list(ref._walked_geom_elements_in(r0, q, lo, hi)), (r0, q, lo, hi)
+
+
+# Steps at, below and above 2, and near 1; c on a power of the step, at 2 or
+# just off it, and between 2 and the step, up to 300 steps away from 1.
+LATTICE_STEPS = (F(2), F(3, 2), F(1001, 1000), F(9, 4), F(3), F(5, 2), F(201, 100), F(10), F(27, 8))
+LATTICE_OFFSETS = (F(1), 1 - EPS, 1 + EPS, F(2), 2 - EPS, 2 + EPS)
+LATTICE_OFFSETS += (F(3, 2), F(199, 100), F(201, 100), F(5, 2), F(1, 2), F(3))
+
+
+def _lattice(rng: random.Random) -> tuple:
+    step = rng.choice(LATTICE_STEPS)
+    return rng.choice(LATTICE_OFFSETS) * step ** rng.randint(-300, 300), step
+
+
+LATTICES = [_lattice(random.Random(seed)) for seed in range(1500)]
+
+
+def test_lattice_matches_the_walk():
+    seen = set()
+    for c, step in LATTICES:
+        got = _lattice_hits_doubling_window(c, step)
+        assert got == ref._lattice_hits_doubling_window(c, step), (c, step)
+        seen.add((step > 2, got))
+    assert seen == {(True, True), (True, False), (False, True)}
+
+
+# 4,362 of the powers 3^1 ... 3^6401 have a float log below their exponent
+# (3^5 first), so membership must correct the float estimate upwards.
+LOW_POWERS = [k for k in range(1, 6402) if floor(log(3**k) / log(3)) < k]
+
+
+def test_contains_finds_powers_whose_float_log_is_low():
+    assert len(LOW_POWERS) == 4362 and LOW_POWERS[0] == 5
+    for comp in (GeomUp(F(1), F(3)), GeomDown(F(1), F(1, 3)), GeomUp(F(2), F(3, 2))):
+        desc = DistanceSetDesc((comp,))
+        for k in LOW_POWERS:
+            term = comp.r0 * comp.q**k
+            assert contains(desc, term), (comp, k)
+            assert not contains(desc, term * F(4, 3)), (comp, k)
+            assert not contains(desc, term + 1), (comp, k)
+        for k in LOW_POWERS[:100]:
+            term = comp.r0 * comp.q**k
+            assert ref.contains(desc, term) and not ref.contains(desc, term * F(4, 3))
+
+
+def _down_and_up(e: int) -> DistanceSetDesc:
+    """{0} with {9^-n} and {9^n / 3^(2e+1)}: well-spaced, and the up sequence
+    puts about 2e down terms in the window where the two meet."""
+    up = GeomUp(F(1, 3 ** (2 * e + 1)), F(9))
+    return DistanceSetDesc((FiniteSet((F(0),)), GeomDown(F(1), F(1, 9)), up))
+
+
+@pytest.mark.parametrize("e", [1, 2, 50, 200, 400])
+def test_down_and_up_sequences_match_reference(e):
+    desc = _down_and_up(e)
+    assert _well_spaced(desc) is ref._well_spaced(desc) is True
+    assert compute_facts(desc) == ref.compute_facts(desc)
+
+
+def _one_base(r2: Fraction, k1: int, k2: int) -> DistanceSetDesc:
+    """Two up sequences with ratios s^k1 and s^k2, s = 1001/1000."""
+    s = F(1001, 1000)
+    return DistanceSetDesc((FiniteSet((F(0),)), GeomUp(F(1), s**k1), GeomUp(r2, s**k2)))
+
+
+# When each term was walked to, the 3.2 kB description (e = 3200) took 47 s
+# through the CLI and the pair with common base s^700 5.2 s, against 0.8 s
+# and 0.4 s with one log. The common base s of s^700 and s^701 is below 2,
+# so its lattice meets (1, 2] whatever c is: taking the log anyway costs
+# 1.8 s at c = 10^200 and 5.5 s at 10^400, and the walk at 10^200 was
+# stopped after 600 s.
+@pytest.mark.parametrize(
+    "desc, well_spaced, bound",
+    [
+        (_down_and_up(3200), True, 8.0),
+        (_one_base(F(10**60), 700, 1400), False, 2.5),
+        (_one_base(F(10**400), 700, 701), False, 1.0),
+    ],
+    ids=["down-up-3200", "one-base-s700", "one-base-s1"],
+)
+def test_long_spans_through_the_cli_under_a_time_bound(tmp_path, capsys, desc, well_spaced, bound):
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(desc_to_json(desc)))
+    start = time.perf_counter()
+    code = main(["analyze", "--input", str(path)])
+    took = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["facts"]["well_spaced"] is well_spaced
+    assert took < bound, took
 
 
 # --- malformed shapes --------------------------------------------------------

@@ -12,10 +12,12 @@ and on planted ultrametrics with and without one broken pair. Hand-made
 matrices at the edge of the whole-matrix accept (no distance above twice
 the least) are compared too.
 
-The packed-row accept is compared on L1 spaces past that accept: 2 top at
+The packed-row pass is compared on L1 spaces past that accept: 2 top at
 and just past a power of two, codes above 2^64, 3 points and 80, each as
-drawn and with one entry moved by one. Its verdict must be the triple
-loop's, and it must test exactly the pairs its filter keeps.
+drawn and with one entry moved by one, and 1,200 L1 spaces with one to
+three entries moved until a triangle fails. The first row it flags must be
+the row of the triple loop's witness, it must test exactly the pairs its
+filter keeps, and past it a failing matrix is scanned in that row alone.
 """
 
 import math
@@ -23,6 +25,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from math import lcm
+from operator import add
 
 import pytest
 
@@ -309,10 +312,18 @@ def _packed_cases(seed=SEED):
 PACKED_CASES = _packed_cases()
 
 
-def _triangles_hold(rows):
-    """metric._triangles_hold on rows, as _check_metric calls it."""
+def _first_failing_row(rows):
+    """metric._first_failing_row on rows, as _check_metric calls it."""
     low = [min(filter(None, row), default=0) for row in rows]
-    return metric._triangles_hold(rows, low, max(map(max, rows)))
+    return metric._first_failing_row(rows, low, max(map(max, rows)))
+
+
+def _witness_row(outcome):
+    """The i of a TriangleViolation outcome, or None when the check passes."""
+    if outcome is None:
+        return None
+    assert outcome[0] == "TriangleViolation", outcome
+    return outcome[1][0]
 
 
 @cache
@@ -339,7 +350,7 @@ def test_packed_accept_matches_triple_loop(case):
     name, rows = PACKED_CASES[case]
     want = _packed_reference(case)
     assert _outcome(_check_metric, rows) == want, name
-    assert _triangles_hold(rows) == (want is None), name
+    assert _first_failing_row(rows) == _witness_row(want), name
 
 
 def test_packed_accept_tests_only_the_pairs_its_filter_keeps(monkeypatch):
@@ -352,6 +363,74 @@ def test_packed_accept_tests_only_the_pairs_its_filter_keeps(monkeypatch):
         if _packed_reference(case) is None:
             low = [min(filter(None, row), default=0) for row in rows]
             tested.clear()
-            assert _triangles_hold(rows), name
+            assert _first_failing_row(rows) is None, name
             needed = [d for row in rows for d, m in zip(row, low) if max(row) - m > d]
             assert tested == needed, name
+
+
+# --- the witness row ------------------------------------------------------------
+
+
+def _failing_l1_cases(count, seed=SEED):
+    """count (L1 space, triple-loop outcome) pairs, n from 3 to 80, each
+    space with one to three entries moved until some triangle fails."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        top = rng.randint(8, 60)
+        rows = _l1(rng, rng.randint(3, 80), rng.choice((1, 2, 3)), top)
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(len(rows)), 2)
+            rows[i][j] = rows[j][i] = max(1, rows[i][j] + rng.choice((-1, 1)) * rng.randint(1, top))
+        want = _outcome(ref._check_metric, rows)
+        if want:
+            cases.append((rows, want))
+    return cases
+
+
+FAILING_L1 = _failing_l1_cases(1200)
+
+
+def _violating_rows(rows):
+    """The rows i with some pair (i, j) above its cheapest detour."""
+    return [i for i, row in enumerate(rows) if any(v > min(map(add, row, rows[j])) for j, v in enumerate(row))]
+
+
+def test_failing_cases_cover_several_rows_and_each_witness_edge():
+    # Every failing matrix has two violating rows, i and j, by symmetry;
+    # many of the first 300 have more.
+    assert {len(rows) for rows, _ in FAILING_L1} >= {3, 80}
+    assert all(name == "TriangleViolation" for _, (name, _) in FAILING_L1)
+    assert sum(len(_violating_rows(rows)) > 2 for rows, _ in FAILING_L1[:300]) >= 150
+    witnesses = [ijk for _, (_, ijk) in FAILING_L1]
+    assert sum(k == 0 for i, j, k in witnesses) >= 50
+    assert sum(j == i + 1 for i, j, k in witnesses) >= 50
+    assert sum(i > 0 for i, j, k in witnesses) >= 300
+
+
+@pytest.mark.parametrize("batch", range(8))
+def test_first_failing_row_is_the_witness_row(batch):
+    # the packed pass flags exactly the rows that hold a violation, so the
+    # first it flags is the row of the row-major triple scan's witness
+    for case in range(batch, len(FAILING_L1), 8):
+        rows, want = FAILING_L1[case]
+        assert _first_failing_row(rows) == _witness_row(want), case
+        assert _outcome(_check_metric, rows) == want, case
+
+
+def test_a_failing_matrix_is_scanned_in_its_witness_row_alone(monkeypatch):
+    # The n = 200 space, its last pair raised: past the packed pass, only
+    # row i is scanned, at most n(n - i) additions. A scan of every row
+    # from 0 makes about n^2 / 2 for its filters alone.
+    rows = _l1(random.Random(7), 200, 3, 60)
+    n = len(rows)
+    rows[n - 2][n - 1] = rows[n - 1][n - 2] = rows[n - 2][n - 1] + 40
+    calls = []
+    monkeypatch.setattr(metric, "add", lambda a, b: calls.append(None) or a + b)
+    i = _first_failing_row(rows)
+    packed = len(calls)
+    calls.clear()
+    with pytest.raises(TriangleViolation) as exc:
+        _check_metric(rows)
+    assert (i, exc.value.i, exc.value.j) == (n - 2, n - 2, n - 1)
+    assert len(calls) <= packed + n * (n - i)

@@ -19,20 +19,18 @@ tuple g, the bit of d(s, t) in _fit(codes, g[s], g[t]) over the space's
 codes: the same triangle, as v is in [|a - b|, a + b] exactly when a is in
 [|v - b|, v + b].
 
-A stage keeps one unmet-demand frontier for its whole growth: for each
-subset the scan has reached, the points it has taken in so far and the
-Katetov tuples g over the subset, in lex order, that no outside point
-realizes yet. Distances never change once a point is added, so the tuples
-are fixed when the subset is first reached, and each scan only strikes out
-the patterns of the points added since the last one. Every demand it finds
-is met: A passes the 4-values condition, which is amalgamation for finite
-A-spaces, so a new point is filled greedily.
-
-A stage also keeps one index, at[t][a]: the bit mask of the points at
-distance code a from point t (the row's oracles._label_masks). A new point
-sets one bit per old point and brings its own row, and the completion reads
-how many points see a pair (u, t) at labels (a, b) as the bit count of
-at[u][a] & at[t][b]. The completion keeps one admissible mask per
+A stage keeps one index, at[t][a]: the bit mask of the points at distance
+code a from point t (the row's oracles._label_masks). A new point sets one
+bit per old point and brings its own row. The points realizing a tuple g
+over a subset are the AND of at[s][g[s]] over s in the subset (no g holds
+0, so the subset's own points are never among them), and the scan keeps,
+per subset it has reached, only how many of the subset's Katetov tuples,
+in lex order, are realized: points are only added, so a realized tuple
+stays realized, and each scan resumes at the first tuple that was not.
+Every demand it finds is met: A passes the 4-values condition, which is
+amalgamation for finite A-spaces, so a new point is filled greedily. The
+completion reads how many points see a pair (u, t) at labels (a, b) as the
+bit count of at[u][a] & at[t][b], and keeps one admissible mask per
 coordinate, narrowed through fits each time a value is placed.
 
 Stage growth, the class listing, universality, homogeneity and one-point
@@ -222,17 +220,19 @@ class StageResult:
     log: tuple[tuple[Fraction, ...], ...]
 
 
-def _first_unmet_demand(dist, n: int, positive, j_max: int, frontier: dict, accepted: dict, fits: dict):
+def _first_unmet_demand(dist, at: list, positive, j_max: int, frontier: dict, accepted: dict, fits: dict):
     """The first (subset, g) in (size, subset, g) lex order such that g is a
     Katetov tuple over subset (_katetov_tuples) that no point outside subset
     realizes.
 
-    frontier[subset] is [points seen, dict of the unmet g in lex order]. The
-    Katetov tuples over a subset depend only on the distances inside it, so
-    accepted keeps their list per (inner distances, size). The column
-    slices of the subset's rows give the patterns of the new points; a point
-    inside the subset has a 0 in its pattern, which no g has.
+    frontier[subset] is [k, tuples]: tuples lists the Katetov tuples over
+    subset in lex order, and its first k are realized. The tuples depend
+    only on the distances inside subset, so accepted keeps one list per
+    (inner distances, size), which every subset with those shares. A tuple
+    g is realized iff the AND of at[s][g[s]] over s in subset is nonzero: a
+    point of subset is at 0 from itself, which no g holds.
     """
+    n = len(dist)
     for j in range(1, min(j_max, n) + 1):  # no j-subsets past n
         for subset in combinations(range(n), j):
             entry = frontier.get(subset)
@@ -241,14 +241,15 @@ def _first_unmet_demand(dist, n: int, positive, j_max: int, frontier: dict, acce
                 if inner not in accepted:
                     rows = [[dist[s][t] for t in subset[:i]] for i, s in enumerate(subset)]
                     accepted[inner] = _katetov_tuples(rows, positive, fits)
-                entry = frontier[subset] = [0, dict.fromkeys(accepted[inner])]
-            seen, unmet = entry
-            if seen < n and unmet:
-                for pattern in zip(*(dist[s][seen:n] for s in subset)):
-                    unmet.pop(pattern, None)
-                entry[0] = n
-            if unmet:
-                return subset, next(iter(unmet))
+                entry = frontier[subset] = [0, accepted[inner]]
+            k, tuples = entry
+            if k < len(tuples):
+                masks = list(map(at.__getitem__, subset))
+                while k < len(tuples) and reduce(and_, map(dict.get, masks, tuples[k], repeat(0))):
+                    k += 1
+                entry[0] = k
+                if k < len(tuples):
+                    return subset, tuples[k]
     return None
 
 
@@ -354,25 +355,22 @@ def urysohn_stage(
     fits = _fits(positive)
     j_max = max(embed_bound - 1, homog_bound)
     dist: list[list[int]] = [[0]]
-    n = 1
-    log: list[list[int]] = []
     at: list[dict] = [{0: 1}]  # _label_masks of each row
     frontier: dict = {}
     accepted: dict = {}
 
-    while (demand := _first_unmet_demand(dist, n, positive, j_max, frontier, accepted, fits)) and (
-        n < size_budget
+    while (demand := _first_unmet_demand(dist, at, positive, j_max, frontier, accepted, fits)) and (
+        len(dist) < size_budget
     ):
         subset, g = demand
-        new = _complete_new_point(dist, at, n, positive, fits, subset, g)
+        new = _complete_new_point(dist, at, len(dist), positive, fits, subset, g)
         if new is None:
             g_values = ", ".join(map(str, _decoded([g], scale)[0]))
             raise InvariantViolation(f"no point over A realizes g = ({g_values}) on {subset}")
         _add_point(dist, at, new)
-        n += 1
-        log.append(new)
 
     saturated = demand is None
+    log = [row[:i] for i, row in enumerate(dist)][1:]  # each point's distances to the ones before
     result = StageResult(_space(scale, dist), saturated, _decoded(log, scale))
     if strict and not saturated:
         raise BudgetTooSmall(result)

@@ -21,7 +21,10 @@ both must pick the same values; with the check patched out, a set that
 fails it must raise InvariantViolation. The same stages and a thousand more
 (3-9 values, budgets 10-60, bounds 1-4) are compared with the Counter pair
 counts the growth index replaced, and the thousand stages' homogeneity
-witnesses at k <= 2 with the Fraction reference's. Canonical keys and the
+witnesses at k <= 2 with the Fraction reference's. That reference scans
+with the dict frontier that the scan over the index replaced; on four of
+the thousand and one stage over {0, 1, 2}, at homogeneity bound 4, both
+scans run side by side and must find the same demand at every step. Canonical keys and the
 universality coding of a U with distances outside A are compared with their
 references on their own.
 
@@ -506,6 +509,44 @@ def test_indexed_stage_matches_counter_reference_on_seeded_stages(chunk):
         assert verify_one_point_homogeneity(got.space, k) == ref.verify_one_point_homogeneity(
             got.space, k
         )
+
+
+# at homogeneity bound 4: three seeded stages that saturate (their last
+# demands are over 4 points), one that hits its budget on a demand over 3
+# points, and a stage over {0, 1, 2} that hits it too
+STEP_STAGES = [SEEDED_STAGES[i] for i in (3, 19, 39, 42)] + [
+    (frozenset(map(Fraction, (0, 1, 2))), 60, 3, 4)
+]
+
+
+@pytest.mark.parametrize("case", range(len(STEP_STAGES)))
+def test_scan_matches_the_dict_frontier_at_every_step(case, monkeypatch):
+    # the dict-frontier scan keeps its own frontier beside the stage's; both
+    # must find the same demand on every scan, and the stage's count must
+    # stop at the tuple it returns
+    scan = urysohn._first_unmet_demand
+    old_frontier, old_accepted = {}, {}
+    found = []
+
+    def compared(dist, at, positive, j_max, frontier, accepted, fits):
+        got = scan(dist, at, positive, j_max, frontier, accepted, fits)
+        want = ref.first_unmet_demand(dist, len(dist), positive, j_max, old_frontier, old_accepted, fits)
+        assert got == want, len(dist)
+        if got is not None:
+            k, tuples = frontier[got[0]]
+            assert tuples[k] == got[1]
+        found.append(got)
+        return got
+
+    monkeypatch.setattr(urysohn, "_first_unmet_demand", compared)
+    stage = urysohn_stage(*STEP_STAGES[case])
+    assert len(found) == stage.space.n  # one scan per point added, and the last
+    assert (found[-1] is None) == stage.saturated
+
+
+def test_step_stages_are_the_stated_stages():
+    assert {hb for *_, hb in STEP_STAGES} == {4}
+    assert [urysohn_stage(*case).saturated for case in STEP_STAGES] == [True] * 3 + [False] * 2
 
 
 # --- universality along the class tree --------------------------------------------

@@ -17,8 +17,12 @@ search. They are patched into counter_urysohn_stage to replay stages too
 large for the Fraction pipeline.
 
 counter_urysohn_stage is distset.urysohn's stage before the growth index:
-the pair counts are a Counter of (u, t, a, b) keys. The listing_ pair is its
-universality check before the class tree: every class through find_embedding.
+the pair counts are a Counter of (u, t, a, b) keys. Its demands come from
+first_unmet_demand, distset.urysohn's scan before it read the growth index:
+a dict copy of each subset's unmet Katetov tuples, from which each scan pops
+the column patterns of the points added since the last one. The listing_
+pair is its universality check before the class tree: every class through
+find_embedding.
 
 product_katetov_tuples and product_katetov_extensions are the filter that
 distset.urysohn's walk over the interval-mask table replaced in the stage's
@@ -388,11 +392,40 @@ def int_canonical_key(dist) -> tuple:
 # counter_urysohn_stage is urysohn_stage; it calls distset.urysohn's
 # four_values_check (the Fraction loop above is too slow for a thousand
 # stages) and finds its demands through the module attribute
-# first_unmet_demand, the frontier scan distset.urysohn still uses (which
-# takes the stage's interval-mask table, distset.urysohn._fits, last), so a
-# test can put int_first_unmet_demand's rescan in its place.
+# first_unmet_demand, so a test can put int_first_unmet_demand's rescan in
+# its place. first_unmet_demand is distset.urysohn's scan before it read the
+# growth index, verbatim but for the name; it takes the stage's interval-mask
+# table, distset.urysohn._fits, last.
 
-first_unmet_demand = urysohn._first_unmet_demand
+
+def first_unmet_demand(dist, n: int, positive, j_max: int, frontier: dict, accepted: dict, fits: dict):
+    """The first (subset, g) in (size, subset, g) lex order such that g is a
+    Katetov tuple over subset (_katetov_tuples) that no point outside subset
+    realizes.
+
+    frontier[subset] is [points seen, dict of the unmet g in lex order]. The
+    Katetov tuples over a subset depend only on the distances inside it, so
+    accepted keeps their list per (inner distances, size). The column
+    slices of the subset's rows give the patterns of the new points; a point
+    inside the subset has a 0 in its pattern, which no g has.
+    """
+    for j in range(1, min(j_max, n) + 1):  # no j-subsets past n
+        for subset in combinations(range(n), j):
+            entry = frontier.get(subset)
+            if entry is None:
+                inner = tuple(dist[a][b] for a, b in combinations(subset, 2)), j
+                if inner not in accepted:
+                    rows = [[dist[s][t] for t in subset[:i]] for i, s in enumerate(subset)]
+                    accepted[inner] = _katetov_tuples(rows, positive, fits)
+                entry = frontier[subset] = [0, dict.fromkeys(accepted[inner])]
+            seen, unmet = entry
+            if seen < n and unmet:
+                for pattern in zip(*(dist[s][seen:n] for s in subset)):
+                    unmet.pop(pattern, None)
+                entry[0] = n
+            if unmet:
+                return subset, next(iter(unmet))
+    return None
 
 
 def counter_add_point(dist, multiplicity: Counter, new: list[int]) -> None:
